@@ -1,28 +1,19 @@
-"""E24 — hopset construction fast path: fused build kernels + warm store.
+"""E24 — warm hopset store vs cold build.
 
-PR 4's fused kernels bought 5–7× on SSSP queries but left construction —
-the per-scale superclustering/interconnection pipeline, dominated by
-Algorithm 3's multi-key lexsorts — as the open hot path (ROADMAP item 2).
-This experiment measures the build-side answer:
+A content-addressed :class:`~repro.hopsets.store.HopsetStore` files every
+built hopset under a key derived from (graph, params); a later run with
+the same inputs loads it instead of rebuilding.  This experiment times
+``HopsetStore.load`` of an already-built artifact against the cold
+build that produced it, on the headline ER workload, and checks the
+loaded hopset is bit-identical (edges with memory paths and provenance)
+to a fresh build.  The acceptance bar is warm < 10% of cold.
 
-* **end-to-end hopset build**, fused (``pprune_entries`` /
-  ``paggregate_entries`` + per-scale plan cache) vs unfused sort path,
-  per E24 family, asserting bit-identical edges and charged work/depth;
-* **per-scale wall split** — inclusive wall seconds of every ``scale{k}``
-  span on a traced run of the headline workload, before and after, so
-  the JSON shows *where* the speedup lives, not just that it exists;
-* **warm store vs cold build** — ``HopsetStore.load`` of an
-  already-built (graph, params) artifact against the cold build that
-  produced it; the acceptance bar is warm < 10% of cold, bit-identical.
-
-Results go to ``benchmarks/BENCH_build.json``; the acceptance test pins
-a ≥2× build speedup on at least one E24 family.
+Results go to ``benchmarks/BENCH_build.json``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 from functools import lru_cache
@@ -30,189 +21,75 @@ from pathlib import Path
 
 from conftest import emit, record_obs
 
-from repro.graphs.generators import erdos_renyi, grid_graph, layered_hop_graph
+from repro.graphs.generators import erdos_renyi
 from repro.hopsets.multi_scale import build_hopset
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.store import HopsetStore
-from repro.obs.tracer import SpanTracer
 from repro.pram.machine import PRAM
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_build.json"
 
-#: kappa=3 drives both fused kernels through the x > 1 rank-selection
-#: path (the expensive one); rho=0.45 keeps the phase count honest.
+#: kappa=3 drives the build's entry kernels through the x > 1
+#: rank-selection path; rho=0.45 keeps the phase count honest.
 _PARAMS = HopsetParams(epsilon=0.25, kappa=3, rho=0.45, beta=8)
+_WARM_REPEATS = 3
 
-#: E24 workloads: the ER graph is the headline (large enough that the
-#: per-call O(m log m) lexsorts separate from the fused linear passes);
-#: the small families document the regime where fusion is wall-neutral.
-GRAPHS = {
-    "er": (lambda: erdos_renyi(1200, 0.01, seed=7), 2),
-    "grid": (lambda: grid_graph(16, 16, seed=2402), 2),
-    "layered": (lambda: layered_hop_graph(64, 4, seed=2403), 2),
-}
 
-_HEADLINE = "er"
+def _graph():
+    return erdos_renyi(1200, 0.01, seed=7)
 
 
 def _edge_key(e):
     return (e.u, e.v, e.weight, e.scale, e.phase, e.kind, e.path)
 
 
-def _best_of(fn, repeats):
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return out, best
-
-
-def _measure_build(g, fused, repeats):
-    def run():
-        os.environ["REPRO_FUSED_BUILD"] = "1" if fused else "0"
-        try:
-            pram = PRAM()
-            hopset, _ = build_hopset(g, _PARAMS, pram=pram)
-            return hopset, pram.cost.work, pram.cost.depth
-        finally:
-            os.environ.pop("REPRO_FUSED_BUILD", None)
-
-    (hopset, work, depth), wall = _best_of(run, repeats)
-    return hopset, work, depth, wall
-
-
-def _scale_split(g, fused):
-    """{scale-span name: inclusive wall seconds} for one traced build."""
-    os.environ["REPRO_FUSED_BUILD"] = "1" if fused else "0"
-    try:
-        pram = PRAM()
-        tracer = SpanTracer.attach(pram.cost, root_name="build")
-        build_hopset(g, _PARAMS, pram=pram)
-        tracer.finish()
-    finally:
-        os.environ.pop("REPRO_FUSED_BUILD", None)
-    return {
-        span.name: round(span.wall, 6)
-        for span in tracer.root.walk()
-        if span.level == 1 and span.name.startswith("scale")
-    }
-
-
-def _measure_warm_store(g, hopset):
-    """(cold build+save wall, warm load wall, bit-identical) via the store."""
-    with tempfile.TemporaryDirectory() as root:
-        store = HopsetStore(root)
-
-        def cold():
-            pram = PRAM()
-            built, _ = build_hopset(g, _PARAMS, pram=pram)
-            store.save(g, _PARAMS, built)
-            return built
-
-        t0 = time.perf_counter()
-        built = cold()
-        cold_wall = time.perf_counter() - t0
-
-        warm, warm_wall = _best_of(lambda: store.load(g, _PARAMS), 3)
-        identical = warm is not None and sorted(
-            map(_edge_key, warm.edges)
-        ) == sorted(map(_edge_key, built.edges)) == sorted(
-            map(_edge_key, hopset.edges)
-        )
-    return cold_wall, warm_wall, identical
-
-
 @lru_cache(maxsize=None)
 def run_sweep():
-    rows = []
-    records = {}
-    for name, (make, repeats) in GRAPHS.items():
-        g = make()
-        h_u, work_u, depth_u, wall_u = _measure_build(g, False, repeats)
-        h_f, work_f, depth_f, wall_f = _measure_build(g, True, repeats)
-        bit_exact = sorted(map(_edge_key, h_u.edges)) == sorted(
-            map(_edge_key, h_f.edges)
-        )
-        cost_equal = (work_u, depth_u) == (work_f, depth_f)
-        speedup = wall_u / max(wall_f, 1e-12)
-        records[name] = {
-            "n": g.n,
-            "m": g.num_edges,
-            "edges": h_f.num_records,
-            "bit_exact": bool(bit_exact),
-            "charged_cost_equal": bool(cost_equal),
-            "unfused_wall_s": round(wall_u, 6),
-            "fused_wall_s": round(wall_f, 6),
-            "speedup": round(speedup, 3),
-            "work": work_f,
-            "depth": depth_f,
-        }
-        if name == _HEADLINE:
-            records[name]["per_scale_wall_s"] = {
-                "unfused": _scale_split(g, False),
-                "fused": _scale_split(g, True),
-            }
-            cold_wall, warm_wall, identical = _measure_warm_store(g, h_f)
-            records[name]["warm_store"] = {
-                "cold_build_wall_s": round(cold_wall, 6),
-                "warm_load_wall_s": round(warm_wall, 6),
-                "warm_fraction": round(warm_wall / max(cold_wall, 1e-12), 4),
-                "bit_identical": bool(identical),
-            }
-        rows.append(
-            [
-                name, g.n, g.num_edges,
-                f"{wall_u * 1e3:.0f}", f"{wall_f * 1e3:.0f}",
-                f"{speedup:.2f}x",
-                bit_exact and cost_equal,
-            ]
-        )
-        record_obs(
-            f"e24/{name}",
-            build_speedup=round(speedup, 3),
-            wall_s_fused=wall_f,
-            wall_s_unfused=wall_u,
-        )
-    ws = records[_HEADLINE]["warm_store"]
+    g = _graph()
+    with tempfile.TemporaryDirectory() as root:
+        store = HopsetStore(root)
+        pram = PRAM()
+        t0 = time.perf_counter()
+        built, _ = build_hopset(g, _PARAMS, pram=pram)
+        store.save(g, _PARAMS, built)
+        cold_wall = time.perf_counter() - t0
+        warm_wall = float("inf")
+        for _ in range(_WARM_REPEATS):
+            t0 = time.perf_counter()
+            warm = store.load(g, _PARAMS)
+            warm_wall = min(warm_wall, time.perf_counter() - t0)
+    fresh, _ = build_hopset(g, _PARAMS, pram=PRAM())
+    identical = warm is not None and (
+        list(map(_edge_key, warm.edges))
+        == list(map(_edge_key, built.edges))
+        == list(map(_edge_key, fresh.edges))
+    )
+    record = {
+        "n": g.n,
+        "m": g.num_edges,
+        "edges": built.num_records,
+        "work": pram.cost.work,
+        "depth": pram.cost.depth,
+        "cold_build_wall_s": round(cold_wall, 6),
+        "warm_load_wall_s": round(warm_wall, 6),
+        "warm_fraction": round(warm_wall / max(cold_wall, 1e-12), 4),
+        "bit_identical": bool(identical),
+    }
     record_obs(
         "e24/warm-store",
-        warm_fraction=ws["warm_fraction"],
-        cold_build_wall_s=ws["cold_build_wall_s"],
-        warm_load_wall_s=ws["warm_load_wall_s"],
+        warm_fraction=record["warm_fraction"],
+        cold_build_wall_s=record["cold_build_wall_s"],
+        warm_load_wall_s=record["warm_load_wall_s"],
     )
     OUT_PATH.write_text(
-        json.dumps({"experiments": records}, indent=2, sort_keys=True) + "\n"
+        json.dumps({"experiments": {"warm_store": record}}, indent=2, sort_keys=True)
+        + "\n"
     )
-    return rows, records
-
-
-def test_e24_bit_exact_and_cost_identical_everywhere():
-    _, records = run_sweep()
-    for name, rec in records.items():
-        assert rec["bit_exact"], name
-        assert rec["charged_cost_equal"], name
-
-
-def test_e24_fused_build_at_least_2x_on_a_family():
-    _, records = run_sweep()
-    speedups = {name: rec["speedup"] for name, rec in records.items()}
-    assert any(s >= 2.0 for s in speedups.values()), speedups
-
-
-def test_e24_per_scale_split_shows_where_the_time_went():
-    _, records = run_sweep()
-    split = records[_HEADLINE]["per_scale_wall_s"]
-    assert set(split["fused"]) == set(split["unfused"]) != set()
-    # the fused run must win the scales that dominate the unfused wall
-    hot = max(split["unfused"], key=split["unfused"].get)
-    assert split["fused"][hot] < split["unfused"][hot]
+    return record, g, built
 
 
 def test_e24_warm_store_is_under_a_tenth_of_cold_and_identical():
-    _, records = run_sweep()
-    ws = records[_HEADLINE]["warm_store"]
+    ws = run_sweep()[0]
     assert ws["bit_identical"]
     assert ws["warm_fraction"] < 0.10, ws
 
@@ -220,21 +97,13 @@ def test_e24_warm_store_is_under_a_tenth_of_cold_and_identical():
 def test_e24_json_written_and_parses():
     run_sweep()
     data = json.loads(OUT_PATH.read_text())
-    assert set(data["experiments"]) == set(GRAPHS)
+    assert set(data["experiments"]) == {"warm_store"}
 
 
 def test_e24_table(benchmark):
-    rows, records = run_sweep()
+    ws, g, built = run_sweep()
     emit(
-        "E24: hopset construction fast path (fused build kernels, "
-        f"kappa={_PARAMS.kappa})",
-        ["graph", "n", "m", "unfused ms", "fused ms", "speedup",
-         "bit-exact+cost-equal"],
-        rows,
-    )
-    ws = records[_HEADLINE]["warm_store"]
-    emit(
-        "E24: warm hopset store vs cold build (headline family)",
+        f"E24: warm hopset store vs cold build (er n={ws['n']}, kappa={_PARAMS.kappa})",
         ["cold build ms", "warm load ms", "warm fraction", "bit-identical"],
         [[
             f"{ws['cold_build_wall_s'] * 1e3:.0f}",
@@ -243,5 +112,7 @@ def test_e24_table(benchmark):
             ws["bit_identical"],
         ]],
     )
-    g = GRAPHS["grid"][0]()
-    benchmark(lambda: build_hopset(g, _PARAMS, pram=PRAM()))
+    with tempfile.TemporaryDirectory() as root:
+        store = HopsetStore(root)
+        store.save(g, _PARAMS, built)
+        benchmark(lambda: store.load(g, _PARAMS))

@@ -599,6 +599,11 @@ def _diff_relax_arcs_batch(case, seed, strict):
                     shadow, rounds, rounds <= costs[0].depth + 4)
 
 
+def _tie_range(case: str, hi: int) -> int:
+    """Id range of the entry cases' tie columns: {0, 1} where rows tie."""
+    return 2 if case in ("duplicate-index", "all-ties") else hi
+
+
 def _entry_inputs(
     case: str, seed: int, n: int = _N, k: int = 6
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -608,7 +613,9 @@ def _entry_inputs(
     per-group reduction), ``all-ties`` makes every distance equal (the
     staged minima must fall through to the src/seed tiebreaks),
     ``adversarial-stride`` interleaves groups with descending distances.
-    Distances are integer-valued doubles, exact under any grouping.
+    The first two draw seed ids from {0, 1}, so many rows tie on every
+    column and only their position separates them.  Distances are
+    integer-valued doubles, exact under any grouping.
     """
     rng = np.random.default_rng(seed)
     if case == "empty":
@@ -637,12 +644,33 @@ def _entry_inputs(
         vert = rng.integers(0, k, size=n).astype(np.int64)
         src = rng.integers(0, k, size=n).astype(np.int64)
         dist = rng.integers(0, 20, size=n).astype(np.float64)
-    seed_ids = rng.integers(0, 50, size=vert.size).astype(np.int64)
+    seed_ids = rng.integers(0, _tie_range(case, 50), size=vert.size).astype(np.int64)
     return vert, src, dist, seed_ids
 
 
+def _entry_runs(kernel, ties, lit, lit_pos, strict):
+    """Run an entry kernel plain and with the row position as last tie key.
+
+    Both runs must keep the literal program's rows and charge the same;
+    the row-keyed run must also name the literal stable sorts' kept input
+    positions.  Returns ``(equal, cost, shadow)`` of the row-keyed run.
+    """
+    pos = np.arange(ties[0].size, dtype=np.int64)
+    expect = (*lit, lit_pos)
+    equal = True
+    charged = set()
+    for keys in (ties, (*ties, pos)):
+        out, cost, shadow = _shadowed_run(lambda c: kernel(c, keys), strict)
+        got = (*out[:-1], *out[-1])
+        equal = equal and len(got) <= len(expect) and all(
+            np.array_equal(np.asarray(o), np.asarray(e)) for o, e in zip(got, expect)
+        )
+        charged.add((cost.work, cost.depth))
+    return equal and len(charged) == 1, cost, shadow
+
+
 def _diff_prune_entries(case, seed, strict):
-    """Fused entry prune vs the literal sort program, at x = 1 and x = 3."""
+    """Entry prune vs the literal sort program, at x = 1 and x = 3."""
     vert, src, dist, seed_ids = _entry_inputs(case, seed)
     ws = Workspace(poison=True)
     equal = True
@@ -650,18 +678,16 @@ def _diff_prune_entries(case, seed, strict):
     cost = CostModel()
     shadow = ShadowCREW()
     for x in (1, 3):
-        out, cost, shadow = _shadowed_run(
-            lambda c: primitives.pprune_entries(
-                c, vert, src, dist, seed_ids, x, workspace=ws
-            ),
-            strict,
-        )
-        lit, lit_rounds = reference.crew_prune_entries(
+        lit, lit_pos, lit_rounds = reference.crew_prune_entries(
             vert.tolist(), src.tolist(), dist.tolist(), seed_ids.tolist(), x
         )
-        equal = equal and all(
-            np.array_equal(np.asarray(o), np.asarray(l)) for o, l in zip(out, lit)
+        ok, cost, shadow = _entry_runs(
+            lambda c, ties: primitives.pprune_entries(
+                c, vert, src, dist, ties, x, workspace=ws
+            ),
+            (seed_ids,), lit, lit_pos, strict,
         )
+        equal = equal and ok
         depth = max(depth, cost.depth)
         rounds = max(rounds, lit_rounds)
     # the literal side runs two O(n) odd-even networks plus scans
@@ -672,23 +698,20 @@ def _diff_prune_entries(case, seed, strict):
 
 
 def _diff_aggregate_entries(case, seed, strict):
-    """Fused per-cluster aggregation vs the literal sort program (x = 2)."""
+    """Per-cluster aggregation vs the literal sort program (x = 2)."""
     cl, src, dist, seed_ids = _entry_inputs(case, seed)
     rng = np.random.default_rng(seed + 3)
-    member = rng.integers(0, 9, size=cl.size).astype(np.int64)
+    member = rng.integers(0, _tie_range(case, 9), size=cl.size).astype(np.int64)
     ws = Workspace(poison=True)
-    out, cost, shadow = _shadowed_run(
-        lambda c: primitives.paggregate_entries(
-            c, cl, src, dist, member, seed_ids, 2, workspace=ws
-        ),
-        strict,
-    )
-    lit, rounds = reference.crew_aggregate_entries(
+    lit, lit_pos, rounds = reference.crew_aggregate_entries(
         cl.tolist(), src.tolist(), dist.tolist(), member.tolist(),
         seed_ids.tolist(), 2,
     )
-    equal = all(
-        np.array_equal(np.asarray(o), np.asarray(l)) for o, l in zip(out, lit)
+    equal, cost, shadow = _entry_runs(
+        lambda c, ties: primitives.paggregate_entries(
+            c, cl, src, dist, ties, 2, workspace=ws
+        ),
+        (member, seed_ids), lit, lit_pos, strict,
     )
     n = int(cl.size)
     return _outcome("aggregate_entries", case, n, equal, cost, shadow, rounds,

@@ -2,15 +2,14 @@
 
 The paper closes (§1.4) by conjecturing its techniques extend to dynamic
 shortest paths; ROADMAP item 3 names the workload.  This package is the
-real subsystem behind that item, replacing the ``DecrementalSSSP``
-prototype's rebuild-everything answers with four layers
-(``docs/dynamic.md``):
+real subsystem behind that item: instead of rebuilding everything on an
+update, it repairs in four layers (``docs/dynamic.md``):
 
 1. :class:`~repro.dynamic.graph.DynamicGraph` — a mutable wrapper over
    the immutable CSR :class:`~repro.graphs.csr.Graph`: O(1) pair→edge
    lookup, in-place weight mutation (both CSR arc slots share the edge's
-   weight cells), and a tombstone mask for deletions, so an update stops
-   paying the prototype's O(m) edge-array rebuild.
+   weight cells), and a tombstone mask for deletions, so an update does
+   not pay an O(m) edge-array rebuild.
 2. :class:`~repro.dynamic.repair.DynamicSSSP` — exact SSSP maintenance
    that repairs the shortest-path tree after each update by re-relaxing
    only the affected frontier through the sparse engine

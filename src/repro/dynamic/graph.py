@@ -14,8 +14,7 @@ read-only.  Three facts make updates cheap:
 * ``arc_edge_id`` maps each CSR arc slot to its unique-edge id, so the
   two slots of every edge are precomputed once (``argsort`` grouped by
   id) and a weight update writes exactly three cells;
-* a pair→edge-id dict gives O(1) lookup — the prototype's O(m) boolean
-  mask is gone;
+* a pair→edge-id dict gives O(1) lookup, not an O(m) boolean mask;
 * deletions **tombstone**: the edge's weight cells become ``+inf`` and an
   alive bit flips.  Relaxation over the CSR is tombstone-transparent
   (an ``inf`` candidate never wins a minimum), so the sparse repair

@@ -14,15 +14,15 @@ as every step of that path can still be spanned at no greater cost.
   only when the support at the record's scale actually **rose** — if
   the graph edge or a surviving lower-scale record still spans the step
   at the old cost, the memory path remains certified at no greater
-  weight.  This is a strict refinement of the ``DecrementalSSSP``
-  prototype's kill-all-dependents rule, and the scale restriction is
+  weight.  This is a strict refinement of the unconditional rule that
+  kills every transitive dependent, and the scale restriction is
   what keeps it sound: support is well-founded by induction over scales
   (two same-scale records may never certify each other, else a deleted
   bridge could survive as a mutually-supporting ghost cycle).  Kills
   propagate through a worklist — a killed record raises the support its
   own pair offered to higher scales, compromising them in turn.
-* **Scale-by-scale refresh.**  Instead of the prototype's monolithic
-  rebuild, :meth:`maintain` rebuilds only the scales whose *own* live
+* **Scale-by-scale refresh.**  Instead of a monolithic rebuild,
+  :meth:`maintain` rebuilds only the scales whose *own* live
   fraction fell below ``refresh_below``, ascending, each over
   ``G ∪ (live H_{k−1})`` — surviving lower-scale records are reused, and
   a refreshed lower scale mends the higher scales' substrate before they

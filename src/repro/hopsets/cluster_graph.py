@@ -34,8 +34,6 @@ from repro.graphs.csr import Graph
 from repro.hopsets.clusters import ClusterMemory, Partition
 from repro.hopsets.errors import HopsetError
 from repro.pram.machine import PRAM
-from repro.pram.primitives import ceil_log2
-from repro.pram.workspace import fused_build_default, fused_default
 
 __all__ = ["EntryTable", "ClusterTables", "BFSResult", "neighbor_tables", "bfs_from_clusters"]
 
@@ -153,64 +151,41 @@ def _seed(
     )
 
 
-def _dedup_and_prune(
-    table: EntryTable, x: int, pram: PRAM, fused: bool | None = None
-) -> EntryTable:
+def _tie_keys(table: EntryTable, *keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kernels' tie keys; path tables append the input row position.
+
+    The row position is unique, so it is the stable sort's tie rule and
+    its per-group minimum names the winning row — the row whose path the
+    survivor carries.
+    """
+    if table.paths is None:
+        return keys
+    return (*keys, np.arange(table.size, dtype=np.int64))
+
+
+def _gather_paths(table: EntryTable, ties: tuple[np.ndarray, ...]) -> list | None:
+    """The winners' paths, gathered by the row key :func:`_tie_keys` added."""
+    if table.paths is None:
+        return None
+    return [table.paths[i] for i in ties[-1]]
+
+
+def _dedup_and_prune(table: EntryTable, x: int, pram: PRAM) -> EntryTable:
     """Algorithm 3: dedup per (vertex, source) by min distance, keep x per vertex.
 
-    ``fused=None`` follows :func:`fused_build_default` (``REPRO_FUSED_BUILD``).
-    The fused path replaces the multi-key lexsorts with the grouped
-    staged-minimum kernel :func:`~repro.pram.primitives.pprune_entries` —
-    bit-identical rows and charges, wall-clock only.  Path-recording
-    tables always take the sort path: path tuples are selected by sorted
-    row *position*, which value-space minima cannot reproduce.
+    Runs the grouped staged-minimum kernel
+    :func:`~repro.pram.primitives.pprune_entries` with ``seed`` as the
+    tie key; path-recording tables also pass the row position and carry
+    the winners' paths along.
     """
-    n = table.size
-    if n == 0:
+    if table.size == 0:
         return table
-    if fused is None:
-        fused = fused_build_default()
-    if fused and table.paths is None:
-        vert, src, dist, seed = pram.prune_entries(
-            table.vert, table.src, table.dist, table.seed, x
-        )
-        return EntryTable(vert=vert, src=src, dist=dist, seed=seed)
-    if x == 1:
-        # Per-vertex pruning to one entry subsumes the per-(vertex, source)
-        # dedup: keep the minimum (dist, src, seed) row per vertex.
-        order = np.lexsort((table.seed, table.src, table.dist, table.vert))
-        t = table.take(order)
-        first = np.ones(t.size, dtype=bool)
-        first[1:] = t.vert[1:] != t.vert[:-1]
-        out = t.take(np.flatnonzero(first))
-        pram.charge(
-            work=n * max(1, ceil_log2(n)),
-            depth=ceil_log2(max(n, 2)) + 1,
-            label="algo3_sort",
-        )
-        return out
-    # Sort by (vert, src, dist, seed): first row of each (vert, src) group is
-    # the minimum-distance entry (seed is a deterministic tiebreak).
-    order = np.lexsort((table.seed, table.dist, table.src, table.vert))
-    t = table.take(order)
-    first = np.ones(t.size, dtype=bool)
-    first[1:] = (t.vert[1:] != t.vert[:-1]) | (t.src[1:] != t.src[:-1])
-    t = t.take(np.flatnonzero(first))
-    # Keep the x closest sources per vertex (ties by src id).
-    order2 = np.lexsort((t.src, t.dist, t.vert))
-    t = t.take(order2)
-    new_vert = np.ones(t.size, dtype=bool)
-    new_vert[1:] = t.vert[1:] != t.vert[:-1]
-    group_start = np.flatnonzero(new_vert)
-    group_id = np.cumsum(new_vert) - 1
-    rank = np.arange(t.size) - group_start[group_id]
-    t = t.take(np.flatnonzero(rank < x))
-    pram.charge(
-        work=2 * n * max(1, ceil_log2(n)),
-        depth=2 * (ceil_log2(max(n, 2)) + 1),
-        label="algo3_sort",
+    vert, src, dist, ties = pram.prune_entries(
+        table.vert, table.src, table.dist, _tie_keys(table, table.seed), x
     )
-    return t
+    return EntryTable(
+        vert=vert, src=src, dist=dist, seed=ties[0], paths=_gather_paths(table, ties)
+    )
 
 
 def _propagate(
@@ -223,38 +198,26 @@ def _propagate(
 ) -> EntryTable:
     """Propagation part: ``rounds`` rounds of threshold-pruned relaxation.
 
-    The per-round arc expansion runs through the shared CSR frontier-gather
-    primitive (each table entry is one frontier slot; entries of one vertex
-    gather its out-arcs once per entry), so the gather's prefix-sum depth is
-    charged honestly and its write-set is declared to the race detector.
+    The per-round arc expansion runs through the fused CSR gather + add
+    kernel (each table entry is one frontier slot; entries of one vertex
+    gather its out-arcs once per entry), so the gather's prefix-sum depth
+    is charged honestly and its write-set is declared to the race
+    detector.
     """
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    use_fused = fused_default()
-    fused_build = fused_build_default()
     # per-scale cluster-graph gather plan: the cached degree array spares
     # every round below one row-pointer gather + subtract
     deg_all = pram.workspace.csr_degrees(graph)
-    table = _dedup_and_prune(table, x, pram, fused=fused_build)
+    table = _dedup_and_prune(table, x, pram)
     for _ in range(rounds):
         if table.size == 0:
             break
-        if use_fused:
-            # Fused gather + candidate add: one pass, pooled temporaries,
-            # charged identically to the gather_csr + raw-add sequence below.
-            rep, head, cand_dist = pram.gather_add(
-                indptr, indices, weights, table.vert, table.dist,
-                label="relax_gather", add_label="relax", deg_all=deg_all,
-            )
-            if head.size == 0:
-                break
-        else:
-            rep, arc = pram.gather_csr(indptr, table.vert, label="relax_gather")
-            total = int(arc.size)
-            if total == 0:
-                break
-            head = indices[arc]
-            cand_dist = table.dist[rep] + weights[arc]
-            pram.charge(work=total, depth=1, label="relax")
+        rep, head, cand_dist = pram.gather_add(
+            indptr, indices, weights, table.vert, table.dist,
+            label="relax_gather", add_label="relax", deg_all=deg_all,
+        )
+        if head.size == 0:
+            break
         keep = cand_dist <= threshold + _EPS_PAD
         rep_k = rep[keep]
         if rep_k.size == 0:
@@ -276,7 +239,7 @@ def _propagate(
         )
         before = table.size
         before_key = (table.vert.copy(), table.src.copy(), table.dist.copy())
-        table = _dedup_and_prune(EntryTable.concat(table, cand), x, pram, fused=fused_build)
+        table = _dedup_and_prune(EntryTable.concat(table, cand), x, pram)
         if table.size == before and np.array_equal(table.vert, before_key[0]) and np.array_equal(
             table.src, before_key[1]
         ) and np.array_equal(table.dist, before_key[2]):
@@ -292,64 +255,30 @@ def _aggregate(
 ) -> ClusterTables:
     """Aggregation part: merge member entries into per-cluster m(C) tables.
 
-    The fused path (``REPRO_FUSED_BUILD``, default on) runs the grouped
-    staged-minimum kernel :func:`~repro.pram.primitives.paggregate_entries`
-    instead of the 5-key lexsort — bit-identical rows and charges;
-    path-recording tables always take the sort path (path tuples are
-    selected by sorted row position).
+    Runs the grouped staged-minimum kernel
+    :func:`~repro.pram.primitives.paggregate_entries` with ``(member,
+    seed)`` as the tie keys (plus the row position for path tables).
     """
     ncl = partition.num_clusters
     cl = partition.cluster_of[table.vert] if table.size else np.zeros(0, dtype=np.int64)
     live = cl >= 0
-    idx = np.flatnonzero(live)
-    t = table.take(idx)
-    cl = cl[idx]
-    n = t.size
-    if n and t.paths is None and fused_build_default():
-        cl, src_a, dist_a, member_a, seed_a = pram.aggregate_entries(
-            cl, t.src, t.dist, t.vert, t.seed, x
-        )
-        t = EntryTable(vert=member_a, src=src_a, dist=dist_a, seed=seed_a)
-    elif n:
-        # dedup per (cluster, src) keeping min (dist, member, seed)
-        order = np.lexsort((t.seed, t.vert, t.dist, t.src, cl))
-        t = t.take(order)
-        cl = cl[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = (cl[1:] != cl[:-1]) | (t.src[1:] != t.src[:-1])
-        sel = np.flatnonzero(first)
-        t = t.take(sel)
-        cl = cl[sel]
-        # keep the x closest sources per cluster
-        order2 = np.lexsort((t.src, t.dist, cl))
-        t = t.take(order2)
-        cl = cl[order2]
-        new_cl = np.ones(t.size, dtype=bool)
-        new_cl[1:] = cl[1:] != cl[:-1]
-        group_start = np.flatnonzero(new_cl)
-        group_id = np.cumsum(new_cl) - 1
-        rank = np.arange(t.size) - group_start[group_id]
-        sel2 = np.flatnonzero(rank < x)
-        t = t.take(sel2)
-        cl = cl[sel2]
-        pram.charge(
-            work=2 * n * max(1, ceil_log2(n)),
-            depth=2 * (ceil_log2(max(n, 2)) + 1),
-            label="aggregate",
-        )
+    t = table.take(np.flatnonzero(live))
+    cl, src, dist, ties = pram.aggregate_entries(
+        cl[live], t.src, t.dist, _tie_keys(t, t.vert, t.seed), x
+    )
     counts = np.zeros(ncl, dtype=np.int64)
-    if t.size:
+    if cl.size:
         np.add.at(counts, cl, 1)
     row_start = np.zeros(ncl + 1, dtype=np.int64)
     np.cumsum(counts, out=row_start[1:])
     return ClusterTables(
         num_clusters=ncl,
         cluster=cl,
-        src=t.src,
-        dist=t.dist,
-        member=t.vert,
-        seed=t.seed,
-        paths=t.paths,
+        src=src,
+        dist=dist,
+        member=ties[0],
+        seed=ties[1],
+        paths=_gather_paths(t, ties),
         row_start=row_start,
     )
 

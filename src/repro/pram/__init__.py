@@ -25,7 +25,7 @@ from repro.pram.frontier import ENGINES, FrontierStats, frontier_relax
 from repro.pram.machine import PRAM
 from repro.pram.memory import CREWMemory
 from repro.pram.schedule import SchedulePoint, makespan, speedup_curve
-from repro.pram.workspace import Workspace, fused_default, poison_default
+from repro.pram.workspace import Workspace, poison_default
 
 __all__ = [
     "PRAM",
@@ -33,7 +33,6 @@ __all__ = [
     "FrontierStats",
     "frontier_relax",
     "Workspace",
-    "fused_default",
     "poison_default",
     "CostModel",
     "CostHook",

@@ -152,28 +152,32 @@ def serial_segmin_batch(
 
 def serial_entry_segmin(
     dist_s: np.ndarray,
-    aux1_s: np.ndarray,
-    aux2_s: np.ndarray | None,
+    keys: tuple[np.ndarray, ...],
     seg_start: np.ndarray,
     seg_id: np.ndarray,
     take,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Per-segment staged lexicographic minimum of entry rows — in process.
 
-    The numeric core of the fused hopset-build prune/aggregate kernels:
-    rows are grouped into contiguous segments (``seg_start`` offsets into
-    the row arrays, ``seg_id`` the per-row segment index) and each segment
-    reduces to the lexicographic minimum of its ``(dist, aux1[, aux2])``
-    row tuples, computed by staged value minima — per segment the minimum
-    ``dist``, then the minimum ``aux1`` among dist-achieving rows, then
-    the minimum ``aux2`` among rows achieving both.  Staged minima equal
-    the lexicographic minimum and are permutation-independent, which is
-    what makes the fused kernels bit-equal to the sort-based unfused path
-    and makes sharded execution legal (the combine is associative).
+    The numeric core of the hopset-build prune/aggregate kernels: rows
+    are grouped into contiguous segments (``seg_start`` offsets into the
+    row arrays, ``seg_id`` the per-row segment index) and each segment
+    reduces to the lexicographic minimum of its ``(dist, *keys)`` row
+    tuples, computed by staged value minima — per segment the minimum
+    ``dist``, then the minimum of the first tie key among dist-achieving
+    rows, then the minimum of the next key among rows achieving all
+    earlier stages, and so on.  Staged minima equal the lexicographic
+    minimum and are permutation-independent, which is what makes the
+    kernels match the literal sort programs and makes sharded execution
+    legal (the combine is associative).  A caller that appends each row's
+    input position as the last key gets the winning rows back: that key
+    is unique, so its staged minimum names exactly one row per segment —
+    the first row a stable sort would place.
 
+    Returns ``(gmin_d, mins)`` with one ``mins`` entry per tie key.
     Scratch comes from ``take(name, size, dtype)``; the returned arrays
     are pooled views valid until the pool's next round — callers copy out
-    whatever survives.  ``aux2_s=None`` skips the third stage.
+    whatever survives.
     """
     n = int(dist_s.size)
     k = int(seg_start.size)
@@ -184,22 +188,20 @@ def serial_entry_segmin(
     achieving = take("entry.achieving", n, bool)
     np.equal(dist_s, rep, out=achieving)
     masked = take("entry.masked", n, np.int64)
-    masked.fill(_INT64_MAX)
-    np.copyto(masked, aux1_s, where=achieving)
-    gmin_a1 = take("entry.gmin_a1", k, np.int64)
-    np.minimum.reduceat(masked, seg_start, out=gmin_a1)
-    if aux2_s is None:
-        return gmin_d, gmin_a1, None
-    irep = take("entry.irep", n, np.int64)
-    gmin_a1.take(seg_id, out=irep)
-    also = take("entry.also", n, bool)
-    np.equal(aux1_s, irep, out=also)
-    achieving &= also
-    masked.fill(_INT64_MAX)
-    np.copyto(masked, aux2_s, where=achieving)
-    gmin_a2 = take("entry.gmin_a2", k, np.int64)
-    np.minimum.reduceat(masked, seg_start, out=gmin_a2)
-    return gmin_d, gmin_a1, gmin_a2
+    mins: list[np.ndarray] = []
+    for i, key in enumerate(keys):
+        if i:
+            irep = take("entry.irep", n, np.int64)
+            mins[-1].take(seg_id, out=irep)
+            also = take("entry.also", n, bool)
+            np.equal(keys[i - 1], irep, out=also)
+            achieving &= also
+        masked.fill(_INT64_MAX)
+        np.copyto(masked, key, where=achieving)
+        gmin = take(f"entry.gmin_{i}", k, np.int64)
+        np.minimum.reduceat(masked, seg_start, out=gmin)
+        mins.append(gmin)
+    return gmin_d, tuple(mins)
 
 
 class ExecutionBackend:
@@ -254,20 +256,19 @@ class ExecutionBackend:
     def entry_segmin(
         self,
         dist_s: np.ndarray,
-        aux1_s: np.ndarray,
-        aux2_s: np.ndarray | None,
+        keys: tuple[np.ndarray, ...],
         seg_start: np.ndarray,
         seg_id: np.ndarray,
         take,
         cost=None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Per-segment staged lexicographic min of grouped entry rows.
 
-        The grouped-reduction core of the fused hopset-build prune and
+        The grouped-reduction core of the hopset-build prune and
         aggregate kernels (``pprune_entries`` / ``paggregate_entries``);
         see :func:`serial_entry_segmin` for the exact semantics.
         """
-        return serial_entry_segmin(dist_s, aux1_s, aux2_s, seg_start, seg_id, take)
+        return serial_entry_segmin(dist_s, keys, seg_start, seg_id, take)
 
     def evict_plan(self, plan) -> bool:
         """Release any backend-held state derived from ``plan``.

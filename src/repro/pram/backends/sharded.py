@@ -204,64 +204,40 @@ def tree_min_combine(parts):
     return level[0]
 
 
-def _entry_lex_combine(a, b):
-    """Lexicographic min of two staged ``(dist, aux1[, aux2])`` triples.
-
-    Each operand is one shard's staged minimum for the same (straddling)
-    segment — itself the lexicographic minimum of that shard's rows — so
-    the combined triple is the segment's global lexicographic minimum.
-    """
-    a_d, a_1, a_2 = a
-    b_d, b_1, b_2 = b
-    if b_d < a_d:
-        return b
-    if a_d < b_d:
-        return a
-    if b_1 < a_1:
-        return b
-    if a_1 < b_1:
-        return a
-    if a_2 is None:
-        return a
-    return a if a_2 <= b_2 else b
-
-
 def _entry_merge(a, b):
     """Combine two adjacent shard entry-partials (contiguous segment runs).
 
-    Operands are ``(seg_lo, gmin_d, gmin_a1, gmin_a2_or_None)``; ``b``
-    starts either at ``a``'s end (disjoint) or one segment earlier (the
-    boundary segment's rows straddle the shard cut), in which case the
-    straddling cell combines by staged-lexicographic minimum — exact and
-    associative, see :func:`_entry_lex_combine`.
+    Operands are ``(seg_lo, gmin_d, mins)`` with one ``mins`` array per
+    tie key; ``b`` starts either at ``a``'s end (disjoint) or one segment
+    earlier (the boundary segment's rows straddle the shard cut), in
+    which case the straddling cell keeps the lexicographically smaller
+    ``(dist, *keys)`` tuple.  Each operand's cell is itself the
+    lexicographic minimum of that shard's rows, so the result is the
+    segment's global minimum — exact and associative.
     """
-    a_lo, a_d, a_1, a_2 = a
-    b_lo, b_d, b_1, b_2 = b
+    a_lo, a_d, a_k = a
+    b_lo, b_d, b_k = b
     a_hi = a_lo + a_d.size
-    has2 = a_2 is not None
     if b_lo == a_hi:  # no straddling segment
         return (
             a_lo,
             np.concatenate((a_d, b_d)),
-            np.concatenate((a_1, b_1)),
-            np.concatenate((a_2, b_2)) if has2 else None,
+            tuple(np.concatenate((x, y)) for x, y in zip(a_k, b_k)),
         )
     if b_lo != a_hi - 1:
         raise InvalidStepError(
             f"non-adjacent entry shard results: [{a_lo},{a_hi}) then {b_lo}"
         )
-    va = (float(a_d[-1]), int(a_1[-1]), int(a_2[-1]) if has2 else None)
-    vb = (float(b_d[0]), int(b_1[0]), int(b_2[0]) if has2 else None)
-    d, a1, a2 = _entry_lex_combine(va, vb)
-    mid_d = np.array([d], dtype=a_d.dtype)
-    mid_1 = np.array([a1], dtype=a_1.dtype)
+    va = (float(a_d[-1]), *(int(x[-1]) for x in a_k))
+    vb = (float(b_d[0]), *(int(y[0]) for y in b_k))
+    win = va if va <= vb else vb  # ties keep a's cell, like the serial stages
     return (
         a_lo,
-        np.concatenate((a_d[:-1], mid_d, b_d[1:])),
-        np.concatenate((a_1[:-1], mid_1, b_1[1:])),
-        np.concatenate((a_2[:-1], np.array([a2], dtype=a_2.dtype), b_2[1:]))
-        if has2
-        else None,
+        np.concatenate((a_d[:-1], np.array(win[:1], dtype=a_d.dtype), b_d[1:])),
+        tuple(
+            np.concatenate((x[:-1], np.array([w], dtype=x.dtype), y[1:]))
+            for x, y, w in zip(a_k, b_k, win[1:])
+        ),
     )
 
 
@@ -269,16 +245,15 @@ def entry_tree_combine(parts):
     """Fixed-shard-order tree combine of per-shard entry-segmin partials.
 
     ``parts`` is the ascending shard-order list of ``(seg_lo, gmin_d,
-    gmin_a1, gmin_a2_or_None)`` partials; returns the combined quadruple
-    covering the union.  Bit-equal to the serial staged reduction for any
-    shard count because the per-cell rule is the associative staged
-    lexicographic minimum.
+    mins)`` partials; returns the combined triple covering the union.
+    Bit-equal to the serial staged reduction for any shard count because
+    the per-cell rule is the associative lexicographic minimum.
     """
     if not parts:
         raise InvalidStepError("entry_tree_combine: no shard results")
     if len(parts) == 1:
-        lo, gd, g1, g2 = parts[0]
-        return lo, gd.copy(), g1.copy(), None if g2 is None else g2.copy()
+        lo, gd, mins = parts[0]
+        return lo, gd.copy(), tuple(m.copy() for m in mins)
     level = list(parts)
     while len(level) > 1:
         nxt = [
@@ -290,28 +265,26 @@ def entry_tree_combine(parts):
     return level[0]
 
 
-def _entry_partial(dist, aux1, aux2, local_starts):
+def _entry_partial(dist, keys, local_starts):
     """One shard's staged entry minima (the worker-side compute).
 
     Mirrors :func:`repro.pram.backends.base.serial_entry_segmin` on a row
-    slice: per local segment the min ``dist``, the min ``aux1`` among
-    dist-achieving rows, and (when ``aux2`` rides along) the min ``aux2``
-    among rows achieving both.  The achieving masks use the *local*
-    minima, so each cell is the lexicographic min of the shard's rows —
-    exactly what :func:`entry_tree_combine` needs.
+    slice: per local segment the min ``dist``, then per tie key the min
+    among rows achieving every earlier stage.  The achieving masks use
+    the *local* minima, so each cell is the lexicographic min of the
+    shard's rows — exactly what :func:`entry_tree_combine` needs.
     """
     seg_len = np.diff(np.concatenate((local_starts, [dist.size])))
     seg_id = np.repeat(np.arange(local_starts.size, dtype=np.int64), seg_len)
     gmin_d = np.minimum.reduceat(dist, local_starts)
     achieving = dist == gmin_d.take(seg_id)
-    masked = np.where(achieving, aux1, _INT64_MAX)
-    gmin_a1 = np.minimum.reduceat(masked, local_starts)
-    if aux2 is None:
-        return gmin_d, gmin_a1, None
-    achieving &= aux1 == gmin_a1.take(seg_id)
-    masked = np.where(achieving, aux2, _INT64_MAX)
-    gmin_a2 = np.minimum.reduceat(masked, local_starts)
-    return gmin_d, gmin_a1, gmin_a2
+    mins = []
+    for i, key in enumerate(keys):
+        if i:
+            achieving &= keys[i - 1] == mins[-1].take(seg_id)
+        masked = np.where(achieving, key, _INT64_MAX)
+        mins.append(np.minimum.reduceat(masked, local_starts))
+    return gmin_d, tuple(mins)
 
 
 def _attach_shm(name: str):
@@ -510,10 +483,7 @@ def _worker_main(conn, stats_spec=None) -> None:  # pragma: no cover - subproces
                 _, rid, payload = msg
                 t0 = time.perf_counter_ns()
                 part = _entry_partial(
-                    payload["dist"],
-                    payload["aux1"],
-                    payload["aux2"],
-                    payload["local_starts"],
+                    payload["dist"], payload["keys"], payload["local_starts"]
                 )
                 total_ns = time.perf_counter_ns() - t0
                 conn.send(("edone", rid, part, total_ns))
@@ -939,7 +909,7 @@ class ShardedBackend(ExecutionBackend):
         self.sharded_rounds += 1
         return out
 
-    def entry_segmin(self, dist_s, aux1_s, aux2_s, seg_start, seg_id, take, cost=None):
+    def entry_segmin(self, dist_s, keys, seg_start, seg_id, take, cost=None):
         """Staged entry minima of one prune/aggregate round — sharded when big.
 
         Entry rows are transient, so eligible rounds ship their row slices
@@ -952,19 +922,19 @@ class ShardedBackend(ExecutionBackend):
         out = None
         eligible = int(dist_s.size) >= self.min_entry_rows and seg_start.size > 0
         if not self.failed and eligible and self._ensure_pool(cost):
-            out = self._entry_round(dist_s, aux1_s, aux2_s, seg_start, cost)
+            out = self._entry_round(dist_s, keys, seg_start, cost)
         if out is None:
             self.serial_entry_rounds += 1
             if cost is not None:
                 reason = "fallback" if self.failed else "min-rows"
                 cost.traffic(f"backend.serial_entry.{reason}", elements=1)
             return super().entry_segmin(
-                dist_s, aux1_s, aux2_s, seg_start, seg_id, take, cost=cost
+                dist_s, keys, seg_start, seg_id, take, cost=cost
             )
         self.sharded_entry_rounds += 1
         return out
 
-    def _entry_round(self, dist_s, aux1_s, aux2_s, seg_start, cost):
+    def _entry_round(self, dist_s, keys, seg_start, cost):
         n = int(dist_s.size)
         bounds = shard_bounds(n, self.workers)
         self._round_id += 1
@@ -985,8 +955,7 @@ class ShardedBackend(ExecutionBackend):
                         rid,
                         {
                             "dist": dist_s[lo:hi],
-                            "aux1": aux1_s[lo:hi],
-                            "aux2": None if aux2_s is None else aux2_s[lo:hi],
+                            "keys": tuple(key[lo:hi] for key in keys),
                             "local_starts": local_starts,
                         },
                     )
@@ -1001,8 +970,8 @@ class ShardedBackend(ExecutionBackend):
                 msg = conn.recv()
                 if msg[0] != "edone" or msg[1] != rid:
                     raise RuntimeError(f"worker {widx} answered {msg!r}")
-                gd, g1, g2 = msg[2]
-                parts.append((seg_lo, gd, g1, g2))
+                gd, mins = msg[2]
+                parts.append((seg_lo, gd, mins))
         except TimeoutError as exc:
             self._fail(f"entry round {rid} failed: {exc!r}", cost=cost,
                        kind="timeout")
@@ -1011,12 +980,12 @@ class ShardedBackend(ExecutionBackend):
             self._fail(f"entry round {rid} failed: {exc!r}", cost=cost,
                        kind="worker-death")
             return None
-        _, gmin_d, gmin_a1, gmin_a2 = entry_tree_combine(parts)
+        _, gmin_d, mins = entry_tree_combine(parts)
         if cost is not None:
             cost.traffic("backend.entry_round", elements=n)
             for lo, hi, _seg_lo, _ls in shard_specs:
                 cost.traffic("backend.entry_shard", elements=hi - lo)
-        return gmin_d, gmin_a1, gmin_a2
+        return gmin_d, mins
 
     def _sharded_round(self, plan, dist, cost):
         sp = self._plans.get(id(plan))

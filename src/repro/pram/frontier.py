@@ -47,18 +47,16 @@ labels into counters + a size histogram automatically) and every
 sparse↔dense transition emits a ``frontier.switch`` traffic event, so
 mode switches are visible in Chrome traces and metric dumps.
 
-**Fused fast path.**  By default every relaxation round runs through the
-fused :func:`~repro.pram.primitives.prelax_arcs` kernel (gather + add +
+**Fused kernel.**  Every relaxation round runs through the fused
+:func:`~repro.pram.primitives.prelax_arcs` kernel (gather + add +
 combining min + changed mask in one pass, drawing its temporaries from
 the machine's :class:`~repro.pram.workspace.Workspace` pool and — on
 dense rounds — reusing a per-graph :class:`~repro.pram.primitives.RelaxPlan`
-so nothing is re-sorted per round).  The fused path is charged
-*identically* to the primitive sequence it replaces and produces
-bit-equal ``dist``/``parent``/round counts — only wall-clock changes.
-``fused=False`` (or ``REPRO_FUSED=0``) keeps the original
-primitive-by-primitive execution, which the wall-clock benchmarks use as
-the baseline; the strict-shadow differential matrix pins the two paths
-against each other.
+so nothing is re-sorted per round).  The kernel is charged *identically*
+to the primitive sequence it stands for (``scatter_min_arg`` + compare +
+select / OR-reduce); the step-stream tests in ``tests/pram`` pin that,
+and the strict-shadow matrix in ``tests/conformance`` diffs the outputs
+against the literal CREW Bellman–Ford in :mod:`repro.pram.reference`.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ import numpy as np
 from repro.graphs.csr import Graph
 from repro.pram.errors import InvalidStepError
 from repro.pram.machine import PRAM
-from repro.pram.workspace import fused_default
 
 __all__ = ["ENGINES", "DEFAULT_THRESHOLD_K", "FrontierStats", "frontier_relax"]
 
@@ -112,7 +109,6 @@ def frontier_relax(
     early_exit: bool = True,
     threshold_k: int = DEFAULT_THRESHOLD_K,
     label: str = "bf",
-    fused: bool | None = None,
 ) -> FrontierStats:
     """Run ``hops`` relaxation rounds on ``dist``/``parent`` in place.
 
@@ -120,25 +116,16 @@ def frontier_relax(
     sources, +inf / −1 elsewhere); ``sources`` seeds the first frontier.
     ``label`` prefixes every charged step (``{label}_relax``,
     ``{label}_gather``, …) so callers keep their established cost-step
-    names.  ``fused`` selects the fused relaxation kernel (default: the
-    ``REPRO_FUSED`` environment default, normally on) — bit-exact outputs
-    and bit-identical charged cost either way, only wall-clock differs.
-    Returns the :class:`FrontierStats` of the exploration.
+    names.  Returns the :class:`FrontierStats` of the exploration.
     """
     if engine not in ENGINES:
         raise InvalidStepError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     if threshold_k < 1:
         raise InvalidStepError(f"threshold_k must be >= 1, got {threshold_k}")
-    use_fused = fused_default() if fused is None else bool(fused)
     ws = pram.workspace
-    plan = None  # per-graph RelaxPlan, fetched on the first fused dense round
+    plan = None  # per-graph RelaxPlan, fetched on the first dense round
     stats = FrontierStats(engine=engine)
-    if use_fused:
-        tails = heads = w = None
-        arcs_total = int(graph.indices.size)
-    else:
-        tails, heads, w = graph.arcs()
-        arcs_total = int(tails.size)
+    arcs_total = int(graph.indices.size)
     indptr = graph.indptr
     indices = graph.indices
     weights = graph.weights
@@ -174,74 +161,46 @@ def frontier_relax(
             pram.cost.traffic("frontier.switch", elements=int(frontier.size))
         mode_prev = mode
 
-        if use_fused:
-            if mode == "sparse":
-                slots, arcs = pram.gather_csr(indptr, frontier, label=f"{label}_gather")
-                a = int(arcs.size)
-                f_tails = ws.take("frontier.tails", a, np.int64)
-                np.take(frontier, slots, out=f_tails)
-                f_heads = ws.take("frontier.heads", a, np.int64)
-                np.take(indices, arcs, out=f_heads)
-                f_w = ws.take("frontier.w", a, np.float64)
-                np.take(weights, arcs, out=f_w)
-                stats.sparse_rounds += 1
-                stats.gathered_arcs += a
-                stats.rounds += 1
+        if mode == "sparse":
+            slots, arcs = pram.gather_csr(indptr, frontier, label=f"{label}_gather")
+            a = int(arcs.size)
+            f_tails = ws.take("frontier.tails", a, np.int64)
+            np.take(frontier, slots, out=f_tails)
+            f_heads = ws.take("frontier.heads", a, np.int64)
+            np.take(indices, arcs, out=f_heads)
+            f_w = ws.take("frontier.w", a, np.float64)
+            np.take(weights, arcs, out=f_w)
+            stats.sparse_rounds += 1
+            stats.gathered_arcs += a
+            stats.rounds += 1
+            frontier = pram.relax_arcs(
+                dist, parent, f_tails, f_heads, f_w,
+                changed="frontier", label=f"{label}_relax",
+                changed_label=f"{label}_converged",
+                frontier_label=f"{label}_frontier",
+            )
+        else:
+            if plan is None:
+                plan = ws.relax_plan(graph)
+            stats.dense_rounds += 1
+            stats.rounds += 1
+            if engine == "dense":
+                # The dense engine never needs the frontier itself; it
+                # charges the convergence detection (compare + OR-reduce)
+                # only when early exit actually uses it.
+                out = pram.relax_arcs(
+                    dist, parent, None, None, None, plan=plan,
+                    changed="any" if early_exit else "skip",
+                    label=f"{label}_relax",
+                    changed_label=f"{label}_converged",
+                )
+                if early_exit and not out:
+                    break
+            else:
                 frontier = pram.relax_arcs(
-                    dist, parent, f_tails, f_heads, f_w,
+                    dist, parent, None, None, None, plan=plan,
                     changed="frontier", label=f"{label}_relax",
                     changed_label=f"{label}_converged",
                     frontier_label=f"{label}_frontier",
                 )
-            else:
-                if plan is None:
-                    plan = ws.relax_plan(graph)
-                stats.dense_rounds += 1
-                stats.rounds += 1
-                if engine == "dense":
-                    out = pram.relax_arcs(
-                        dist, parent, tails, heads, w, plan=plan,
-                        changed="any" if early_exit else "skip",
-                        label=f"{label}_relax",
-                        changed_label=f"{label}_converged",
-                    )
-                    if early_exit and not out:
-                        break
-                else:
-                    frontier = pram.relax_arcs(
-                        dist, parent, tails, heads, w, plan=plan,
-                        changed="frontier", label=f"{label}_relax",
-                        changed_label=f"{label}_converged",
-                        frontier_label=f"{label}_frontier",
-                    )
-            continue
-
-        prev = dist.copy()
-        if mode == "sparse":
-            slots, arcs = pram.gather_csr(indptr, frontier, label=f"{label}_gather")
-            f_tails = frontier[slots]
-            f_heads = indices[arcs]
-            cand = dist[f_tails] + weights[arcs]
-            pram.scatter_min_arg(
-                dist, parent, f_heads, cand, f_tails, label=f"{label}_relax"
-            )
-            stats.sparse_rounds += 1
-            stats.gathered_arcs += int(arcs.size)
-        else:
-            cand = dist[tails] + w
-            pram.scatter_min_arg(dist, parent, heads, cand, tails, label=f"{label}_relax")
-            stats.dense_rounds += 1
-        stats.rounds += 1
-
-        if engine == "dense":
-            # The dense engine never needs the frontier itself; it charges
-            # the convergence detection (compare + OR-reduce) only when
-            # early exit actually uses it.
-            if early_exit:
-                changed = pram.map(np.not_equal, prev, dist, label=f"{label}_converged")
-                if not bool(pram.reduce("or", changed, label=f"{label}_converged")):
-                    break
-        else:
-            changed = pram.map(np.not_equal, prev, dist, label=f"{label}_converged")
-            frontier = pram.select(changed, label=f"{label}_frontier")
     return stats

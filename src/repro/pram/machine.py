@@ -131,13 +131,13 @@ class PRAM:
         vert: np.ndarray,
         src: np.ndarray,
         dist: np.ndarray,
-        seed: np.ndarray,
+        ties: tuple[np.ndarray, ...],
         x: int,
         label: str = "algo3_sort",
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused Algorithm 3 entry prune (see ``primitives.pprune_entries``)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Algorithm 3 entry prune (see ``primitives.pprune_entries``)."""
         return primitives.pprune_entries(
-            self.cost, vert, src, dist, seed, x,
+            self.cost, vert, src, dist, ties, x,
             workspace=self.workspace, backend=self.backend, label=label,
         )
 
@@ -146,14 +146,13 @@ class PRAM:
         cl: np.ndarray,
         src: np.ndarray,
         dist: np.ndarray,
-        member: np.ndarray,
-        seed: np.ndarray,
+        ties: tuple[np.ndarray, ...],
         x: int,
         label: str = "aggregate",
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused per-cluster aggregation (see ``primitives.paggregate_entries``)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Per-cluster aggregation (see ``primitives.paggregate_entries``)."""
         return primitives.paggregate_entries(
-            self.cost, cl, src, dist, member, seed, x,
+            self.cost, cl, src, dist, ties, x,
             workspace=self.workspace, backend=self.backend, label=label,
         )
 

@@ -342,8 +342,8 @@ def pgather_add(
     gathered arc ``j``, the head vertex ``heads[j] = indices[arcs[j]]`` and
     the candidate value ``cand[j] = base[slots[j]] + weights[arcs[j]]``
     (``base`` is indexed by frontier *slot* — e.g. the per-entry distances
-    of a hopset exploration table).  Charged exactly like the unfused
-    sequence it replaces: the :func:`pgather_csr` charge under ``label``
+    of a hopset exploration table).  Charged exactly like the primitive
+    sequence it stands for: the :func:`pgather_csr` charge under ``label``
     plus one ``(work=total, depth=1)`` charge under ``add_label`` for the
     adds (skipped when no arcs were gathered, matching callers that break
     before charging).  Returns ``(slots, heads, cand)``; when a
@@ -468,7 +468,7 @@ def prelax_arcs(
     """One fused Bellman–Ford relaxation round: gather + add + combining
     min + changed mask in a single pass.
 
-    Semantically identical to the unfused sequence it replaces::
+    Semantically identical to the primitive sequence it stands for::
 
         cand = dist[tails] + weights                      # gather + add
         scatter_min_arg(dist, parent, heads, cand, tails) # combining min
@@ -842,12 +842,12 @@ def _keep_x_per_group(group: np.ndarray, dist: np.ndarray, x: int) -> np.ndarray
     Precondition: rows already arrive grouped by ``group`` (contiguous
     ascending runs) and sorted by the tiebreak key within each run — the
     dedup stage's output order.  Under that precondition a stable
-    ``lexsort((dist, group))`` is bit-identical to the unfused path's
-    three-key ``lexsort((tiebreak, dist, group))``: rows tied on
-    ``(group, dist)`` keep their input order, which *is* tiebreak order,
-    and ``(group, tiebreak)`` pairs are unique after dedup.  Returns the
-    row indices of the ``rank < x`` survivors in that sorted order — the
-    exact selection the unfused Algorithm 3 second sort performs.
+    ``lexsort((dist, group))`` equals Algorithm 3's three-key second sort
+    ``lexsort((tiebreak, dist, group))``: rows tied on ``(group, dist)``
+    keep their input order, which *is* tiebreak order, and
+    ``(group, tiebreak)`` pairs are unique after dedup.  Returns the row
+    indices of the ``rank < x`` survivors in that sorted order — the
+    exact selection the second sort performs.
 
     Execution is sort-free: rank ``r``'s survivor in each run is the
     first remaining row achieving the run minimum (first occurrence =
@@ -891,44 +891,63 @@ def _keep_x_per_group(group: np.ndarray, dist: np.ndarray, x: int) -> np.ndarray
     return out[out >= 0]
 
 
+def _sorted_keys(keys, order, take) -> tuple[np.ndarray, ...]:
+    """The tie-key columns permuted into group order (pooled views)."""
+    out = []
+    for i, key in enumerate(keys):
+        key_s = take(f"prune.key{i}", order.size, np.int64)
+        key.take(order, out=key_s)
+        out.append(key_s)
+    return tuple(out)
+
+
+def _entry_segmin(backend, cost, dist_s, keys, seg_start, seg_id, take):
+    """Run the grouped staged minimum on ``backend`` (in process if None)."""
+    if backend is not None:
+        return backend.entry_segmin(dist_s, keys, seg_start, seg_id, take, cost=cost)
+    return serial_entry_segmin(dist_s, keys, seg_start, seg_id, take)
+
+
 def pprune_entries(
     cost: CostModel,
     vert: np.ndarray,
     src: np.ndarray,
     dist: np.ndarray,
-    seed: np.ndarray,
+    ties: tuple[np.ndarray, ...],
     x: int,
     *,
     workspace=None,
     backend=None,
     label: str = "algo3_sort",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fused Algorithm 3 entry prune: dedup + keep-x in one grouped pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Algorithm 3 entry prune: dedup + keep-x in one grouped pass.
 
-    Semantically identical to the unfused hopset ``_dedup_and_prune``:
-    dedup entry rows per ``(vert, src)`` keeping the minimum
-    ``(dist, seed)``, then keep the ``x`` closest sources per vertex
+    Dedups entry rows per ``(vert, src)`` keeping the minimum
+    ``(dist, *ties)``, then keeps the ``x`` closest sources per vertex
     (ties by source id); with ``x == 1`` the per-vertex prune subsumes
-    the dedup and keeps the minimum ``(dist, src, seed)`` row per vertex.
-    Returns fresh ``(vert, src, dist, seed)`` arrays, bit-equal to the
-    sort-based path — including row order — and **charged identically**
-    to it: one AKS-rate ``(n·⌈log n⌉, ⌈log n⌉+1)`` charge under ``label``
-    for ``x == 1``, the doubled two-sort rate otherwise (the unfused path
-    declares no traffic or footprints for these sorts, so the replayed
-    stream is exactly that one charge).
+    the dedup and keeps the minimum ``(dist, src, *ties)`` row per
+    vertex.  ``ties`` is a tuple of int columns — the hopset build passes
+    ``(seed,)``, and a table that records paths appends each row's input
+    position, which reproduces a stable sort's tie rule and makes that
+    key's output the winning rows.  Returns fresh ``(vert, src, dist,
+    ties)`` arrays in the literal program's row order (see
+    :func:`repro.pram.reference.crew_prune_entries`), charged as the two
+    AKS-rate sorts of Algorithm 3: one ``(n·⌈log n⌉, ⌈log n⌉+1)`` charge
+    under ``label`` for ``x == 1``, the doubled two-sort rate otherwise
+    (no traffic or footprints: the stream is exactly that one charge).
 
-    Execution differs only in wall-clock: instead of a 4-key lexsort the
-    rows are grouped by a single-key argsort and each group reduces by
-    staged value minima (``minimum.reduceat``) — the per-group staged
-    minimum *is* the lexicographic minimum, computed without a stable
-    sort.  The grouped reduction runs on the machine's execution
-    ``backend`` (sharded across worker processes when eligible, bit-equal
-    either way); scratch comes from the optional ``workspace`` pool.
+    Execution replaces the multi-key sorts: the rows are grouped by a
+    single-key argsort and each group reduces by staged value minima
+    (``minimum.reduceat``) — the per-group staged minimum *is* the
+    lexicographic minimum, computed without a stable sort.  The grouped
+    reduction runs on the machine's execution ``backend`` (sharded across
+    worker processes when eligible, bit-equal either way); scratch comes
+    from the optional ``workspace`` pool.
     """
     n = int(vert.size)
-    empty_i = np.zeros(0, dtype=np.int64)
     if n == 0:
-        return empty_i, empty_i.copy(), np.zeros(0), empty_i.copy()
+        empty_i = np.zeros(0, dtype=np.int64)
+        return empty_i, empty_i.copy(), np.zeros(0), tuple(empty_i.copy() for _ in ties)
     ws = workspace
 
     def take(name, size, dtype):
@@ -937,45 +956,33 @@ def pprune_entries(
         return np.empty(size, dtype=dtype)
 
     if x == 1:
-        # per-vertex lexicographic min of (dist, src, seed)
+        # per-vertex lexicographic min of (dist, src, *ties)
         order, v_s, _, seg_start, seg_id = _entry_groups(vert, None, take)
         dist_s = take("prune.dist_s", n, np.float64)
         dist.take(order, out=dist_s)
-        src_s = take("prune.src_s", n, np.int64)
-        src.take(order, out=src_s)
-        seed_s = take("prune.seed_s", n, np.int64)
-        seed.take(order, out=seed_s)
-        if backend is not None:
-            g_d, g_s, g_z = backend.entry_segmin(
-                dist_s, src_s, seed_s, seg_start, seg_id, take, cost=cost
-            )
-        else:
-            g_d, g_s, g_z = serial_entry_segmin(
-                dist_s, src_s, seed_s, seg_start, seg_id, take
-            )
-        out = (v_s[seg_start], np.array(g_s), np.array(g_d), np.array(g_z))
+        keys = _sorted_keys((src, *ties), order, take)
+        g_d, mins = _entry_segmin(backend, cost, dist_s, keys, seg_start, seg_id, take)
+        out = (
+            v_s[seg_start],
+            np.array(mins[0]),
+            np.array(g_d),
+            tuple(np.array(m) for m in mins[1:]),
+        )
         cost.charge(
             work=n * max(1, ceil_log2(n)),
             depth=ceil_log2(max(n, 2)) + 1,
             label=label,
         )
         return out
-    # dedup per (vert, src) keeping the minimum (dist, seed)
+    # dedup per (vert, src) keeping the minimum (dist, *ties)
     order, v_s, s_s, seg_start, seg_id = _entry_groups(vert, src, take)
     dist_s = take("prune.dist_s", n, np.float64)
     dist.take(order, out=dist_s)
-    seed_s = take("prune.seed_s", n, np.int64)
-    seed.take(order, out=seed_s)
-    if backend is not None:
-        g_d, g_z, _ = backend.entry_segmin(
-            dist_s, seed_s, None, seg_start, seg_id, take, cost=cost
-        )
-    else:
-        g_d, g_z, _ = serial_entry_segmin(dist_s, seed_s, None, seg_start, seg_id, take)
+    keys = _sorted_keys(ties, order, take)
+    g_d, mins = _entry_segmin(backend, cost, dist_s, keys, seg_start, seg_id, take)
     vert_g = v_s[seg_start]
     src_g = s_s[seg_start]
     dist_g = np.array(g_d)
-    seed_g = np.array(g_z)
     # keep the x closest sources per vertex (ties by src id: the group
     # rows arrive (vert, src)-sorted, so first-occurrence extraction
     # resolves dist ties in src order, like the stable sort it replaces)
@@ -985,7 +992,7 @@ def pprune_entries(
         depth=2 * (ceil_log2(max(n, 2)) + 1),
         label=label,
     )
-    return vert_g[idx], src_g[idx], dist_g[idx], seed_g[idx]
+    return vert_g[idx], src_g[idx], dist_g[idx], tuple(m[idx] for m in mins)
 
 
 def paggregate_entries(
@@ -993,31 +1000,30 @@ def paggregate_entries(
     cl: np.ndarray,
     src: np.ndarray,
     dist: np.ndarray,
-    member: np.ndarray,
-    seed: np.ndarray,
+    ties: tuple[np.ndarray, ...],
     x: int,
     *,
     workspace=None,
     backend=None,
     label: str = "aggregate",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fused per-cluster aggregation: dedup + keep-x of member entries.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Per-cluster aggregation: dedup + keep-x of member entries.
 
-    Semantically identical to the unfused hopset ``_aggregate`` core:
-    dedup rows per ``(cluster, src)`` keeping the minimum
-    ``(dist, member, seed)``, then keep the ``x`` closest sources per
-    cluster (ties by source id), rows ordered ``(cluster, dist, src)``.
-    Returns fresh ``(cl, src, dist, member, seed)`` arrays, bit-equal to
-    the 5-key-lexsort path, and charged identically to it — one doubled
-    AKS-rate charge under ``label`` (no traffic/footprints, matching the
-    unfused stream).  Same grouped staged-minimum execution as
-    :func:`pprune_entries`, with the second tie key ``member`` between
-    ``dist`` and ``seed``.
+    Dedups rows per ``(cluster, src)`` keeping the minimum
+    ``(dist, *ties)``, then keeps the ``x`` closest sources per cluster
+    (ties by source id), rows ordered ``(cluster, dist, src)``.  The
+    hopset build passes ``ties = (member, seed)``, plus each row's input
+    position when the table records paths (see :func:`pprune_entries`).
+    Returns fresh ``(cl, src, dist, ties)`` arrays in the literal
+    program's row order (:func:`repro.pram.reference.crew_aggregate_entries`),
+    charged as one doubled AKS-rate charge under ``label`` (no
+    traffic/footprints).  Same grouped staged-minimum execution as
+    :func:`pprune_entries`.
     """
     n = int(cl.size)
-    empty_i = np.zeros(0, dtype=np.int64)
     if n == 0:
-        return empty_i, empty_i.copy(), np.zeros(0), empty_i.copy(), empty_i.copy()
+        empty_i = np.zeros(0, dtype=np.int64)
+        return empty_i, empty_i.copy(), np.zeros(0), tuple(empty_i.copy() for _ in ties)
     ws = workspace
 
     def take(name, size, dtype):
@@ -1028,23 +1034,11 @@ def paggregate_entries(
     order, c_s, s_s, seg_start, seg_id = _entry_groups(cl, src, take)
     dist_s = take("prune.dist_s", n, np.float64)
     dist.take(order, out=dist_s)
-    member_s = take("prune.member_s", n, np.int64)
-    member.take(order, out=member_s)
-    seed_s = take("prune.seed_s", n, np.int64)
-    seed.take(order, out=seed_s)
-    if backend is not None:
-        g_d, g_m, g_z = backend.entry_segmin(
-            dist_s, member_s, seed_s, seg_start, seg_id, take, cost=cost
-        )
-    else:
-        g_d, g_m, g_z = serial_entry_segmin(
-            dist_s, member_s, seed_s, seg_start, seg_id, take
-        )
+    keys = _sorted_keys(ties, order, take)
+    g_d, mins = _entry_segmin(backend, cost, dist_s, keys, seg_start, seg_id, take)
     cl_g = c_s[seg_start]
     src_g = s_s[seg_start]
     dist_g = np.array(g_d)
-    member_g = np.array(g_m)
-    seed_g = np.array(g_z)
     # keep the x closest sources per cluster (ties by src id: the group
     # rows arrive (cl, src)-sorted, so first-occurrence extraction
     # resolves dist ties in src order, like the stable sort it replaces)
@@ -1054,7 +1048,7 @@ def paggregate_entries(
         depth=2 * (ceil_log2(max(n, 2)) + 1),
         label=label,
     )
-    return cl_g[idx], src_g[idx], dist_g[idx], member_g[idx], seed_g[idx]
+    return cl_g[idx], src_g[idx], dist_g[idx], tuple(m[idx] for m in mins)
 
 
 def pselect(cost: CostModel, mask: np.ndarray, label: str = "select") -> np.ndarray:

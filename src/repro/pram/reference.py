@@ -392,32 +392,35 @@ def _crew_rank_select(group_flags: list[int], x: int) -> tuple[list[int], int]:
 
 def crew_prune_entries(
     vert: list[int], src: list[int], dist: list[float], seed: list[int], x: int
-) -> tuple[tuple[list, list, list, list], int]:
+) -> tuple[tuple[list, list, list, list], list[int], int]:
     """Literal Algorithm-3 entry prune — counterpart of ``pprune_entries``.
 
-    Runs the *unfused* sort semantics on the literal machine: for
-    ``x == 1`` one network sort by ``(vert, dist, src, seed)`` and a
-    first-per-vertex compaction; for ``x > 1`` a dedup sort by
-    ``(vert, src, dist, seed)``, a first-per-(vertex, source) compaction,
-    a second network sort by ``(vert, dist, src)`` and the scan-based
-    rank-below-``x`` selection.  The sorts are odd–even transposition
-    networks, so the round count carries their O(n) envelope.  Returns
-    ``((vert, src, dist, seed), rounds)`` — the same rows, in the same
-    order, as both vectorized paths.
+    Runs the sort semantics on the literal machine: for ``x == 1`` one
+    network sort by ``(vert, dist, src, seed)`` and a first-per-vertex
+    compaction; for ``x > 1`` a dedup sort by ``(vert, src, dist, seed)``,
+    a first-per-(vertex, source) compaction, a second network sort by
+    ``(vert, dist, src)`` and the scan-based rank-below-``x`` selection.
+    The sorts are odd–even transposition networks, so the round count
+    carries their O(n) envelope.  The networks are stable, so every kept
+    row also names one input position: the first row, in input order, of
+    those tied on every key.  Returns ``((vert, src, dist, seed),
+    positions, rounds)`` — the same rows, in the same order, as the
+    vectorized kernel, and the positions it reports when handed the row
+    position as its last tie key.
     """
     n = len(vert)
     if n == 0:
-        return ([], [], [], []), 0
+        return ([], [], [], []), [], 0
     if x == 1:
         order, r1 = crew_lexsort((seed, src, dist, vert))
-        rows = [(vert[i], src[i], dist[i], seed[i]) for i in order]
+        rows = [(vert[i], src[i], dist[i], seed[i], i) for i in order]
         flags, r2 = _crew_first_flags(rows, lambda a, b: a[0] == b[0])
         kept, r3 = crew_select(flags)
         out = [rows[i] for i in kept]
-        v, s, d, z = (list(col) for col in zip(*out))
-        return (v, s, d, z), r1 + r2 + r3
+        v, s, d, z, pos = (list(col) for col in zip(*out))
+        return (v, s, d, z), pos, r1 + r2 + r3
     order, r1 = crew_lexsort((seed, dist, src, vert))
-    rows = [(vert[i], src[i], dist[i], seed[i]) for i in order]
+    rows = [(vert[i], src[i], dist[i], seed[i], i) for i in order]
     flags, r2 = _crew_first_flags(
         rows, lambda a, b: a[0] == b[0] and a[1] == b[1]
     )
@@ -430,8 +433,8 @@ def crew_prune_entries(
     flags2, r5 = _crew_first_flags(rows, lambda a, b: a[0] == b[0])
     kept2, r6 = _crew_rank_select(flags2, x)
     out = [rows[i] for i in kept2]
-    v, s, d, z = (list(col) for col in zip(*out))
-    return (v, s, d, z), r1 + r2 + r3 + r4 + r5 + r6
+    v, s, d, z, pos = (list(col) for col in zip(*out))
+    return (v, s, d, z), pos, r1 + r2 + r3 + r4 + r5 + r6
 
 
 def crew_aggregate_entries(
@@ -441,20 +444,21 @@ def crew_aggregate_entries(
     member: list[int],
     seed: list[int],
     x: int,
-) -> tuple[tuple[list, list, list, list, list], int]:
+) -> tuple[tuple[list, list, list, list, list], list[int], int]:
     """Literal per-cluster aggregation — counterpart of ``paggregate_entries``.
 
-    The unfused semantics on the literal machine: a dedup network sort by
+    The sort semantics on the literal machine: a dedup network sort by
     ``(cl, src, dist, member, seed)``, a first-per-(cluster, source)
     compaction, a second network sort by ``(cl, dist, src)`` and the
-    scan-based rank-below-``x`` selection.  Returns
-    ``((cl, src, dist, member, seed), rounds)``.
+    scan-based rank-below-``x`` selection.  Returns ``((cl, src, dist,
+    member, seed), positions, rounds)``, the positions being the kept
+    rows' input positions (well defined: the networks are stable).
     """
     n = len(cl)
     if n == 0:
-        return ([], [], [], [], []), 0
+        return ([], [], [], [], []), [], 0
     order, r1 = crew_lexsort((seed, member, dist, src, cl))
-    rows = [(cl[i], src[i], dist[i], member[i], seed[i]) for i in order]
+    rows = [(cl[i], src[i], dist[i], member[i], seed[i], i) for i in order]
     flags, r2 = _crew_first_flags(
         rows, lambda a, b: a[0] == b[0] and a[1] == b[1]
     )
@@ -467,8 +471,8 @@ def crew_aggregate_entries(
     flags2, r5 = _crew_first_flags(rows, lambda a, b: a[0] == b[0])
     kept2, r6 = _crew_rank_select(flags2, x)
     out = [rows[i] for i in kept2]
-    c, s, d, m, z = (list(col) for col in zip(*out))
-    return (c, s, d, m, z), r1 + r2 + r3 + r4 + r5 + r6
+    c, s, d, m, z, pos = (list(col) for col in zip(*out))
+    return (c, s, d, m, z), pos, r1 + r2 + r3 + r4 + r5 + r6
 
 
 def crew_pointer_jump(parent: list[int], weight: list[float]) -> tuple[list[int], list[float], int]:

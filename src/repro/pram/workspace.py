@@ -22,12 +22,6 @@ The workspace also caches per-graph :class:`~repro.pram.primitives.RelaxPlan`
 objects (the arcs-sorted-by-head layout the fused dense relaxation kernel
 uses), keyed by graph identity — the plan holds a reference to the graph,
 so an id can never be recycled while its cache entry is alive.
-
-Fused-path toggles live here too: :func:`fused_default` resolves the
-``REPRO_FUSED`` environment variable (default on), which
-``frontier_relax`` / ``bellman_ford`` / hopset ``_propagate`` consult when
-their ``fused=`` argument is ``None`` — a one-stop switch for A/B
-benchmarking the fused kernels against the primitive-by-primitive path.
 """
 
 from __future__ import annotations
@@ -36,32 +30,10 @@ import os
 
 import numpy as np
 
-__all__ = ["Workspace", "fused_default", "fused_build_default", "poison_default"]
+__all__ = ["Workspace", "poison_default"]
 
 #: Poison sentinel written into integer buffers (floats get NaN, bools True).
 INT_POISON = np.iinfo(np.int64).min + 1
-
-
-def fused_default() -> bool:
-    """Resolve the process-wide fused-kernel default (``REPRO_FUSED``).
-
-    ``REPRO_FUSED=0`` forces every ``fused=None`` call site onto the
-    unfused primitive-by-primitive path (the benchmark baseline);
-    anything else — including unset — means fused.
-    """
-    return os.environ.get("REPRO_FUSED", "1") != "0"
-
-
-def fused_build_default() -> bool:
-    """Resolve the fused hopset-*build* default (``REPRO_FUSED_BUILD``).
-
-    ``REPRO_FUSED_BUILD=0`` forces the build-phase prune/aggregate
-    kernels onto the unfused lexsort path (the benchmark baseline and
-    the reference side of the build-conformance differential matrix);
-    anything else — including unset — means fused.  Independent from
-    ``REPRO_FUSED`` so construction and queries can be A/B'd separately.
-    """
-    return os.environ.get("REPRO_FUSED_BUILD", "1") != "0"
 
 
 def poison_default() -> bool:

@@ -1,7 +1,6 @@
 """Applications: (1+ε)-approximate SSSP / multi-source / SPT extraction."""
 
 from repro.sssp.bellman_ford import BellmanFordResult, bellman_ford
-from repro.sssp.dynamic import DecrementalSSSP
 from repro.sssp.oracle import HopsetDistanceOracle
 from repro.sssp.multi_source import MultiSourceResult, approximate_mssd
 from repro.sssp.spt import SPTResult, approximate_spt
@@ -9,7 +8,6 @@ from repro.sssp.sssp import SSSPResult, approximate_sssp, approximate_sssp_with_
 
 __all__ = [
     "bellman_ford",
-    "DecrementalSSSP",
     "HopsetDistanceOracle",
     "BellmanFordResult",
     "approximate_sssp",

@@ -52,7 +52,6 @@ def bellman_ford(
     hops: int,
     early_exit: bool = True,
     engine: str = "auto",
-    fused: bool | None = None,
 ) -> BellmanFordResult:
     """``hops`` rounds of parallel edge relaxation from ``sources``.
 
@@ -70,9 +69,7 @@ def bellman_ford(
     ``engine`` selects the relaxation schedule — ``"dense"`` (all arcs
     every round), ``"sparse"`` (frontier-driven), or ``"auto"`` (per-round
     Ligra-style switch, the default); see :mod:`repro.pram.frontier`.
-    ``fused`` toggles the fused relaxation kernel (default: the
-    ``REPRO_FUSED`` environment default) — same outputs and charged cost,
-    different wall-clock.  Dense relaxation rounds execute on ``pram``'s
+    Dense relaxation rounds execute on ``pram``'s
     execution backend (:mod:`repro.pram.backends`): under
     ``REPRO_BACKEND=sharded[:W]`` the segmented minimum runs on a pool of
     shared-memory workers, again bit-exact and charge-identical.
@@ -102,7 +99,6 @@ def bellman_ford(
             engine=engine,
             early_exit=early_exit,
             label="bf",
-            fused=fused,
         )
     return BellmanFordResult(
         dist=dist,

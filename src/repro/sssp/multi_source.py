@@ -20,7 +20,7 @@ from repro.graphs.errors import VertexError
 from repro.hopsets.hopset import Hopset
 from repro.pram.cost import CostModel, CostSnapshot
 from repro.pram.machine import PRAM
-from repro.pram.workspace import Workspace, fused_default
+from repro.pram.workspace import Workspace
 from repro.sssp.bellman_ford import bellman_ford
 from repro.sssp.mssp import explore_batch, mssp_block_default
 
@@ -48,7 +48,6 @@ def approximate_mssd(
     pram: PRAM | None = None,
     hop_budget: int | None = None,
     engine: str = "auto",
-    fused: bool | None = None,
     block: int | None = None,
 ) -> MultiSourceResult:
     """Run one β-hop exploration per source over G ∪ H.
@@ -58,8 +57,8 @@ def approximate_mssd(
     relaxation schedule (see :mod:`repro.pram.frontier`); the result is
     bit-exact regardless.  All explorations share one scratch
     :class:`~repro.pram.workspace.Workspace` (the outer machine's, if
-    given), so the fused fast path allocates its round buffers once for
-    the whole sweep; they also share the outer machine's execution
+    given), so the relaxation kernels allocate their round buffers once
+    for the whole sweep; they also share the outer machine's execution
     backend (:mod:`repro.pram.backends`).  If an exploration raises, the
     shared pool's buffers acquired by the sweep are released before the
     error propagates.
@@ -70,10 +69,10 @@ def approximate_mssd(
     distances/parents, one vectorized pass instead of ``block`` scans.
     ``None`` follows the ``REPRO_MSSP`` environment default
     (``--mssp-block`` on the CLI); ``0`` forces the per-source loop.
-    The matrix engine replays the fused *dense* schedule per row, so it
-    engages only when that is what was asked for (``engine`` of
-    ``"auto"``/``"dense"`` with the fused kernels enabled); explicit
-    ``"sparse"`` scheduling or ``fused=False`` fall back to the loop.
+    The matrix engine replays the *dense* schedule per row, so it engages
+    only when that is what was asked for (``engine`` of
+    ``"auto"``/``"dense"``); explicit ``"sparse"`` scheduling falls back
+    to the loop.
     """
     src = np.asarray(sources, dtype=np.int64)
     if src.ndim != 1 or src.size == 0:
@@ -87,8 +86,7 @@ def approximate_mssd(
     shared_ws = pram.workspace if pram is not None else Workspace()
     backend = pram.backend if pram is not None else None
     nblock = mssp_block_default() if block is None else int(block)
-    use_fused = fused_default() if fused is None else bool(fused)
-    use_matrix = nblock >= 1 and use_fused and engine in ("auto", "dense")
+    use_matrix = nblock >= 1 and engine in ("auto", "dense")
     ok = False
     try:
         if use_matrix:
@@ -106,7 +104,7 @@ def approximate_mssd(
         else:
             for row, s in enumerate(src):
                 local = PRAM(CostModel(), workspace=shared_ws, backend=backend)
-                bf = bellman_ford(local, union, int(s), budget, engine=engine, fused=fused)
+                bf = bellman_ford(local, union, int(s), budget, engine=engine)
                 dists[row] = bf.dist
                 parents[row] = bf.parent
                 total_work += local.cost.work

@@ -42,15 +42,12 @@ def approximate_sssp(
     params: HopsetParams | None = None,
     pram: PRAM | None = None,
     engine: str = "auto",
-    fused: bool | None = None,
 ) -> SSSPResult:
     """End-to-end (1+ε)-SSSD: hopset construction + β-hop exploration."""
     pram = pram if pram is not None else PRAM()
     params = params if params is not None else HopsetParams()
     hopset, report = build_hopset(graph, params, pram)
-    result = approximate_sssp_with_hopset(
-        graph, hopset, source, pram, engine=engine, fused=fused
-    )
+    result = approximate_sssp_with_hopset(graph, hopset, source, pram, engine=engine)
     return SSSPResult(
         source=source,
         dist=result.dist,
@@ -69,24 +66,20 @@ def approximate_sssp_with_hopset(
     pram: PRAM | None = None,
     hop_budget: int | None = None,
     engine: str = "auto",
-    fused: bool | None = None,
 ) -> SSSPResult:
     """β-hop Bellman–Ford in G ∪ H from a prebuilt hopset.
 
     ``hop_budget`` defaults to the hopset's β times a small spare factor
     (the splice of Lemma 2.1 uses 2β+1 hops), capped at n−1 where
     hop-limited equals exact.  ``engine`` selects the relaxation schedule
-    (see :mod:`repro.pram.frontier`); results are bit-exact either way,
-    as is ``fused`` (wall-clock fast path, default ``REPRO_FUSED``).
+    (see :mod:`repro.pram.frontier`); results are bit-exact either way.
     """
     pram = pram if pram is not None else PRAM()
     union = hopset.union_graph(graph)
     budget = hop_budget if hop_budget is not None else min(2 * hopset.beta + 1, max(graph.n - 1, 1))
     before = pram.snapshot()
     with pram.phase("sssp_query"):
-        bf: BellmanFordResult = bellman_ford(
-            pram, union, source, budget, engine=engine, fused=fused
-        )
+        bf: BellmanFordResult = bellman_ford(pram, union, source, budget, engine=engine)
     cost = pram.snapshot() - before
     return SSSPResult(
         source=source,

@@ -4,14 +4,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import EXPERIMENTS, bench_module_name, experiment
+from repro.analysis.experiments import EXPERIMENTS, RETIRED, bench_module_name, experiment
 
 REPO = Path(__file__).resolve().parents[2]
 
 
 def test_ids_unique_and_sequential():
+    """Live ids plus retired ones number E1..En without gaps or reuse."""
     ids = [e.exp_id for e in EXPERIMENTS]
-    assert ids == [f"E{i}" for i in range(1, len(ids) + 1)]
+    assert not set(ids) & set(RETIRED)
+    total = len(ids) + len(RETIRED)
+    expected = [f"E{i}" for i in range(1, total + 1)]
+    assert ids == [e for e in expected if e not in RETIRED]
 
 
 def test_every_experiment_has_a_bench_file():

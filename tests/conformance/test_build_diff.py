@@ -1,19 +1,23 @@
-"""Build-conformance differential matrix: fused hopset construction.
+"""Build-conformance differential matrix: hopset construction.
 
-The fused build kernels (``pprune_entries`` / ``paggregate_entries``, the
-grouped staged-minimum replacements for Algorithm 3's multi-key lexsorts)
-and the build-phase backend seam (``ExecutionBackend.entry_segmin``)
-promise to be *observationally identical* to the unfused sort path —
-bit-identical hopset edge sets, bit-identical charged work/depth/phase
+The build kernels (``pprune_entries`` / ``paggregate_entries``, grouped
+staged minima standing in for Algorithm 3's multi-key sorts; the literal
+sort programs they must match are diffed case by case in
+``repro conformance``) and the build-phase backend seam
+(``ExecutionBackend.entry_segmin``) promise that a build is
+*observationally identical* wherever it runs — bit-identical hopset
+edges (memory paths included), bit-identical charged work/depth/phase
 totals — differing only in wall-clock.  This matrix pins that promise
-over fused × unfused × backend (serial, sharded W ∈ {1, 2}) × graph
-families × parameter points, with the same hostile twists as the SSSP
-fused matrix:
+over backend (serial, sharded W ∈ {1, 2}) × graph families × parameter
+points, each case for a plain build and a path-recording one (path
+tables add the row position as the kernels' last tie key).  The
+reference is a serial build; the build under test runs with hostile
+twists:
 
-* the fused side runs with a **poisoned** buffer pool, so a kernel that
-  reads a pooled cell before writing it produces loudly wrong output;
-* both sides run under a **strict** :class:`ShadowCREW`, so every round
-  of the build must stay CREW-legal while the kernels are swapped;
+* a **poisoned** buffer pool, so a kernel that reads a pooled cell
+  before writing it produces loudly wrong output;
+* a **strict** :class:`ShadowCREW` (on the reference too), so every round
+  of the build must stay CREW-legal;
 * the sharded backends run with ``min_arcs=1`` / ``min_entry_rows=1``,
   forcing every relaxation and every entry reduction through the worker
   pool and its fixed-shard-order combines.
@@ -48,12 +52,11 @@ def _edge_key(e):
     return (e.u, e.v, e.weight, e.scale, e.phase, e.kind, e.path)
 
 
-def _build(graph, params, fused, monkeypatch, backend=None):
-    monkeypatch.setenv("REPRO_FUSED_BUILD", "1" if fused else "0")
-    pram = PRAM(workspace=Workspace(poison=fused), backend=backend)
+def _build(graph, params, record_paths, backend=None, poison=True):
+    pram = PRAM(workspace=Workspace(poison=poison), backend=backend)
     shadow = ShadowCREW.attach(pram.cost, strict=True, mode="record")
     try:
-        hopset, report = build_hopset(graph, params, pram=pram)
+        hopset, report = build_hopset(graph, params, pram=pram, record_paths=record_paths)
     finally:
         shadow.detach(pram.cost)
     return hopset, report, pram.cost, shadow
@@ -75,11 +78,11 @@ def sharded_pools():
 _BASELINES: dict = {}
 
 
-def _baseline(family, point, monkeypatch):
-    key = (family, point)
+def _baseline(family, point, record_paths):
+    key = (family, point, record_paths)
     if key not in _BASELINES:
         g = SMOKE_FAMILIES[family](_N, _SEED)
-        _BASELINES[key] = (g, _build(g, _POINTS[point], False, monkeypatch))
+        _BASELINES[key] = (g, _build(g, _POINTS[point], record_paths, poison=False))
     return _BASELINES[key]
 
 
@@ -87,67 +90,70 @@ def _baseline(family, point, monkeypatch):
 @pytest.mark.parametrize("point", sorted(_POINTS))
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_build_fused_matches_unfused_bit_exactly(
-    family, point, backend_spec, sharded_pools, monkeypatch
+    family, point, backend_spec, sharded_pools
 ):
-    g, (h0, r0, c0, s0) = _baseline(family, point, monkeypatch)
+    """A hostile build on each backend reproduces the serial reference
+    build bit for bit, plain and path-recording."""
     backend = (
         None
         if backend_spec == "serial"
         else sharded_pools[int(backend_spec.split(":")[1])]
     )
-    h1, r1, c1, s1 = _build(g, _POINTS[point], True, monkeypatch, backend=backend)
-    assert sorted(map(_edge_key, h1.edges)) == sorted(map(_edge_key, h0.edges))
-    assert (c1.work, c1.depth) == (c0.work, c0.depth)
-    assert dict(c1.phase_totals) == dict(c0.phase_totals)
-    assert (r1.scales, r1.per_scale_edges) == (r0.scales, r0.per_scale_edges)
-    assert s0.clean, [f.kind for f in s0.findings]
-    assert s1.clean, [f.kind for f in s1.findings]
-    if backend is not None:
-        assert not backend.failed, backend.failure_reason
+    for record_paths in (False, True):
+        g, (h0, r0, c0, s0) = _baseline(family, point, record_paths)
+        h1, r1, c1, s1 = _build(g, _POINTS[point], record_paths, backend=backend)
+        mode = "path-recording" if record_paths else "plain"
+        assert list(map(_edge_key, h1.edges)) == list(map(_edge_key, h0.edges)), mode
+        assert all((e.path is not None) == record_paths for e in h1.edges), mode
+        assert (c1.work, c1.depth) == (c0.work, c0.depth), mode
+        assert dict(c1.phase_totals) == dict(c0.phase_totals), mode
+        assert (r1.scales, r1.per_scale_edges) == (r0.scales, r0.per_scale_edges), mode
+        assert s0.clean, [f.kind for f in s0.findings]
+        assert s1.clean, [f.kind for f in s1.findings]
+        if backend is not None:
+            assert not backend.failed, backend.failure_reason
 
 
-def test_sharded_entry_rounds_actually_engage(sharded_pools, monkeypatch):
+def test_sharded_entry_rounds_actually_engage(sharded_pools):
     """The forced-engagement pools must route entry reductions through
     the workers — otherwise the matrix silently tests serial twice."""
     be = sharded_pools[2]
-    before = be.sharded_entry_rounds
     g = SMOKE_FAMILIES["er"](_N, _SEED)
-    _build(g, _POINTS["k3"], True, monkeypatch, backend=be)
-    assert be.sharded_entry_rounds > before
-    assert not be.failed
+    for record_paths in (False, True):
+        before = be.sharded_entry_rounds
+        _build(g, _POINTS["k3"], record_paths, backend=be)
+        assert be.sharded_entry_rounds > before, record_paths
+        assert not be.failed
 
 
-def test_build_toggle_is_independent_from_query_toggle(monkeypatch):
-    """All four (REPRO_FUSED, REPRO_FUSED_BUILD) combinations agree."""
-    g = SMOKE_FAMILIES["layered"](_N, _SEED)
-    outs = {}
-    for q in ("1", "0"):
-        for b in ("1", "0"):
-            monkeypatch.setenv("REPRO_FUSED", q)
-            monkeypatch.setenv("REPRO_FUSED_BUILD", b)
-            pram = PRAM()
-            h, _ = build_hopset(g, _POINTS["k3"], pram=pram)
-            outs[(q, b)] = (
-                sorted(map(_edge_key, h.edges)), pram.cost.work, pram.cost.depth
-            )
-    base = outs[("1", "1")]
-    assert all(v == base for v in outs.values())
-
-
-def test_path_recording_build_keeps_sort_path(monkeypatch):
-    """Path-recording tables must bypass the fused kernels (path tuples
-    are selected by sorted row position) — and stay bit-identical under
-    both toggle settings."""
+def test_path_recording_build_runs_entry_kernels(monkeypatch):
+    """Path-recording tables run the grouped entry kernels, with the row
+    position appended as the last tie key — one key more than the plain
+    tables pass (a path-reporting build also explores some plain tables)."""
     from repro.hopsets.path_reporting import build_path_reporting_hopset
+    from repro.pram import primitives
 
+    keys_seen: dict[str, set[int]] = {"prune": set(), "aggregate": set()}
+
+    def spy(kind, kernel):
+        def run(cost, group, src, dist, ties, x, **kw):
+            keys_seen[kind].add(len(ties))
+            return kernel(cost, group, src, dist, ties, x, **kw)
+
+        return run
+
+    monkeypatch.setattr(
+        primitives, "pprune_entries", spy("prune", primitives.pprune_entries)
+    )
+    monkeypatch.setattr(
+        primitives, "paggregate_entries", spy("aggregate", primitives.paggregate_entries)
+    )
     g = SMOKE_FAMILIES["grid"](_N, _SEED)
-    results = []
-    for flag in ("1", "0"):
-        monkeypatch.setenv("REPRO_FUSED_BUILD", flag)
-        pram = PRAM()
-        h, _ = build_path_reporting_hopset(g, _POINTS["k3"], pram)
-        results.append((sorted(map(_edge_key, h.edges)), pram.cost.work))
-    assert results[0] == results[1]
+    build_hopset(g, _POINTS["k3"], pram=PRAM())
+    # plain tables: seed; member + seed
+    assert keys_seen == {"prune": {1}, "aggregate": {2}}
+    h, _ = build_path_reporting_hopset(g, _POINTS["k3"], PRAM())
+    assert keys_seen == {"prune": {1, 2}, "aggregate": {2, 3}}
     paths = [e.path for e in h.edges]
     assert paths and all(p is not None for p in paths)
 

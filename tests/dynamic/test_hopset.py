@@ -31,7 +31,7 @@ def dyn():
 
 def _assert_never_under(dg, dh, sources=(0, 7, 31)):
     # 1e-9 is the repo-wide slack for the w_min normalize/rescale float
-    # round-trip of the build (cf. tests/hopsets/, tests/sssp/test_dynamic.py)
+    # round-trip of the build (cf. tests/hopsets/)
     union = dh.union_graph()
     snap = dg.snapshot()
     budget = 2 * dh.beta + 1
@@ -52,7 +52,7 @@ def test_fresh_hopset_is_fully_live(dyn):
 
 
 def _unconditional_closure(dh, pair):
-    """The DecrementalSSSP prototype's kill set: every transitive dependent."""
+    """The unconditional kill set: every transitive dependent."""
     stack, seen, doomed = [pair], set(), set()
     while stack:
         p = stack.pop()
@@ -79,7 +79,7 @@ def test_cover_aware_kill_refines_unconditional_closure(dyn):
         dg.set_weight(u, v, old * factor)
         dh.on_weight_increase(u, v, old, old * factor)
         killed = alive_before - set(np.flatnonzero(dh._alive))
-        # soundness boundary: we never kill outside the prototype's closure
+        # soundness boundary: we never kill outside the unconditional closure
         assert killed <= doomed
     _assert_never_under(dg, dh)
 
@@ -116,9 +116,9 @@ def _shadowed_pair_setup():
 def test_shadowed_step_spares_dependent():
     # worsening the heavy edge leaves its pair's support (the cheap
     # lower-scale record) intact — the dependent survives, where the
-    # prototype's unconditional rule would have killed it
+    # unconditional rule would have killed it
     dg, dh = _shadowed_pair_setup()
-    assert 1 in _unconditional_closure(dh, (0, 2))  # prototype kills r_high
+    assert 1 in _unconditional_closure(dh, (0, 2))  # the unconditional rule kills r_high
     old = dg.edge_weight(0, 2)
     dg.set_weight(0, 2, 20.0)
     assert dh.on_weight_increase(0, 2, old, 20.0) == []

@@ -4,8 +4,10 @@ import numpy as np
 
 from repro.graphs.build import from_edges
 from repro.graphs.generators import path_graph
-from repro.hopsets.cluster_graph import EntryTable, _dedup_and_prune, _propagate
+from repro.hopsets.cluster_graph import EntryTable, _aggregate, _dedup_and_prune, _propagate
+from repro.hopsets.clusters import Partition
 from repro.pram.machine import PRAM
+from repro.pram.reference import crew_aggregate_entries, crew_prune_entries
 
 
 def table(verts, srcs, dists, seeds=None, paths=None):
@@ -52,6 +54,51 @@ def test_dedup_preserves_paths_alignment():
     m = {(int(v), float(d)): p for v, d, p in zip(out.vert, out.dist, out.paths)}
     assert m[(0, 1.0)] == (0,)
     assert m[(1, 2.0)] == (1, 8)
+
+
+def _tied_rows(seed, n=40):
+    """Rows with heavy (vertex, source, dist, seed) ties and distinct paths."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(0, 4, size=n),
+        rng.integers(0, 3, size=n),
+        rng.integers(0, 2, size=n).astype(np.float64),
+        rng.integers(0, 2, size=n),
+        [(i,) for i in range(n)],
+    )
+
+
+def test_prune_paths_follow_the_literal_stable_sort():
+    """A path table keeps, per survivor, the path of the row the literal
+    stable sorts keep — the first input row among full ties."""
+    for seed in range(4):
+        vert, src, dist, seeds, paths = _tied_rows(seed)
+        for x in (1, 3):
+            out = _dedup_and_prune(table(vert, src, dist, seeds, paths), x=x, pram=PRAM())
+            cols, pos, _ = crew_prune_entries(
+                vert.tolist(), src.tolist(), dist.tolist(), seeds.tolist(), x
+            )
+            got = [out.vert, out.src, out.dist, out.seed]
+            assert tuple(col.tolist() for col in got) == cols
+            assert out.paths == [paths[i] for i in pos]
+
+
+def test_aggregate_paths_follow_the_literal_stable_sort():
+    part = Partition(
+        cluster_of=np.array([0, 0, 1, -1], dtype=np.int64),
+        centers=np.array([0, 2], dtype=np.int64),
+    )
+    for seed in range(4):
+        vert, src, dist, seeds, paths = _tied_rows(seed)
+        agg = _aggregate(PRAM(), part, table(vert, src, dist, seeds, paths), x=2)
+        live = np.flatnonzero(part.cluster_of[vert] >= 0)
+        cols, pos, _ = crew_aggregate_entries(
+            part.cluster_of[vert][live].tolist(), src[live].tolist(),
+            dist[live].tolist(), vert[live].tolist(), seeds[live].tolist(), 2,
+        )
+        got = [agg.cluster, agg.src, agg.dist, agg.member, agg.seed]
+        assert tuple(col.tolist() for col in got) == cols
+        assert agg.paths == [paths[live[i]] for i in pos]
 
 
 def test_propagate_respects_threshold():

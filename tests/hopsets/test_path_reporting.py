@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.conformance.diff import SMOKE_FAMILIES
 from repro.graphs.generators import erdos_renyi, layered_hop_graph, path_graph
 from repro.hopsets.errors import PathReportingError
 from repro.hopsets.multi_scale import build_hopset
@@ -10,6 +11,7 @@ from repro.hopsets.params import HopsetParams, PhaseSchedule
 from repro.hopsets.path_reporting import build_path_reporting_hopset, memory_path_stats
 from repro.hopsets.verification import verify_memory_paths
 from repro.hopsets.errors import CertificationError
+from repro.pram.machine import PRAM
 
 
 def test_every_edge_carries_a_path():
@@ -78,12 +80,23 @@ def test_tight_weight_equals_path_weight():
         assert w == pytest.approx(e.weight, rel=1e-9)
 
 
-def test_path_recording_does_not_change_weights():
-    """Recording is observational: same hopset with and without paths."""
-    g = erdos_renyi(25, 0.15, seed=37)
-    params = HopsetParams(beta=6)
-    h_plain, _ = build_hopset(g, params, record_paths=False)
-    h_paths, _ = build_hopset(g, params, record_paths=True)
-    a = sorted((e.u, e.v, round(e.weight, 9), e.scale, e.phase) for e in h_plain.edges)
-    b = sorted((e.u, e.v, round(e.weight, 9), e.scale, e.phase) for e in h_paths.edges)
-    assert a == b
+_POINTS = {
+    "k2": HopsetParams(epsilon=0.25, kappa=2, rho=0.4, beta=8),
+    "k3": HopsetParams(epsilon=0.25, kappa=3, rho=0.45, beta=8),
+}
+
+
+@pytest.mark.parametrize("point", sorted(_POINTS))
+@pytest.mark.parametrize("family", sorted(SMOKE_FAMILIES))
+def test_path_recording_does_not_change_weights(family, point):
+    """Recording is observational: the same hopset, edge for edge and in
+    order, and the same charged work, depth and phase totals."""
+    g = SMOKE_FAMILIES[family](24, 7)
+    runs = []
+    for record_paths in (False, True):
+        pram = PRAM()
+        h, _ = build_hopset(g, _POINTS[point], pram=pram, record_paths=record_paths)
+        edges = [(e.u, e.v, e.weight, e.scale, e.phase, e.kind) for e in h.edges]
+        c = pram.cost
+        runs.append((edges, c.work, c.depth, dict(c.phase_totals)))
+    assert runs[0] == runs[1]

@@ -24,7 +24,8 @@ from repro.pram.backends import (
     shard_bounds,
     tree_min_combine,
 )
-from repro.pram.backends.base import _SINGLETONS
+from repro.pram.backends.base import _SINGLETONS, serial_entry_segmin
+from repro.pram.backends.sharded import _entry_partial, entry_tree_combine
 from repro.pram.errors import InvalidStepError
 from repro.pram.machine import PRAM
 from repro.sssp.bellman_ford import bellman_ford
@@ -153,6 +154,40 @@ def test_tree_min_combine_matches_reduceat(shards, seed):
     assert lo == 0
     assert np.array_equal(mn, ref_mn)
     assert np.array_equal(py, ref_py)
+
+
+@pytest.mark.parametrize("nkeys", [1, 2, 3])
+@pytest.mark.parametrize("shards", [1, 2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_entry_tree_combine_matches_serial_stages(nkeys, shards, seed):
+    """Per-shard staged entry minima + the tree combine equal the serial
+    staged reduction for any tuple of tie keys — including a unique last
+    key (the row position path tables append), under heavy ties and
+    segments straddling the shard cuts."""
+    rng = np.random.default_rng(seed)
+    n = 200
+    dist = rng.integers(0, 3, size=n).astype(np.float64)
+    keys = [rng.integers(0, 3, size=n).astype(np.int64) for _ in range(nkeys - 1)]
+    keys.append(rng.permutation(n).astype(np.int64))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=16, replace=False))
+    seg_start = np.concatenate(([0], cuts)).astype(np.int64)
+    seg_id = np.repeat(np.arange(seg_start.size), np.diff(np.append(seg_start, n)))
+    take = lambda name, size, dtype: np.empty(size, dtype=dtype)  # noqa: E731
+    ref_d, ref_mins = serial_entry_segmin(dist, tuple(keys), seg_start, seg_id, take)
+
+    parts = []
+    for lo, hi in shard_bounds(n, shards):
+        seg_lo = int(np.searchsorted(seg_start, lo, side="right")) - 1
+        seg_hi = int(np.searchsorted(seg_start, hi, side="left"))
+        local_starts = np.maximum(seg_start[seg_lo:seg_hi], lo) - lo
+        gd, mins = _entry_partial(dist[lo:hi], tuple(k[lo:hi] for k in keys), local_starts)
+        parts.append((seg_lo, gd, mins))
+    lo, gd, mins = entry_tree_combine(parts)
+    assert lo == 0
+    assert np.array_equal(gd, ref_d)
+    assert len(mins) == nkeys
+    for got, want in zip(mins, ref_mins):
+        assert np.array_equal(got, want)
 
 
 def test_tree_min_combine_single_part_copies():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import path_graph
-from repro.pram.workspace import INT_POISON, Workspace, fused_default, poison_default
+from repro.pram.workspace import INT_POISON, Workspace, poison_default
 
 
 def test_take_reuses_the_same_buffer():
@@ -75,15 +75,6 @@ def test_clear_drops_buffers_and_plans():
     ws.clear()
     assert not np.shares_memory(a, ws.take("x", 4, np.float64))
     assert ws.relax_plan(g) is not p
-
-
-def test_fused_default_env_override(monkeypatch):
-    monkeypatch.delenv("REPRO_FUSED", raising=False)
-    assert fused_default() is True
-    monkeypatch.setenv("REPRO_FUSED", "0")
-    assert fused_default() is False
-    monkeypatch.setenv("REPRO_FUSED", "1")
-    assert fused_default() is True
 
 
 def test_poison_default_env_override(monkeypatch):
