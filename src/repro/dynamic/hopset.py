@@ -176,6 +176,9 @@ class DynamicHopset:
         self._rec_v = np.array([e.v for e in recs], dtype=np.int64)
         self._rec_w = np.array([e.weight for e in recs], dtype=np.float64)
         self._scale_of = np.array([e.scale for e in recs], dtype=np.int64)
+        # rebound, never mutated: maintain() iterates the list it was
+        # handed while _refresh_scale reindexes
+        self._scales: list[int] = np.unique(self._scale_of).tolist()
         self._records_on_pair: dict[tuple[int, int], list[int]] = {}
         self._dependents: dict[tuple[int, int], list[int]] = {}
         for idx, e in enumerate(recs):
@@ -246,8 +249,8 @@ class DynamicHopset:
         return len(self.records)
 
     def scales(self) -> list[int]:
-        """The distinct scale indices present, ascending."""
-        return sorted(set(int(k) for k in self._scale_of))
+        """The distinct scale indices present, ascending (shared: do not mutate)."""
+        return self._scales
 
     def live_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live records as (u, v, w) arrays — the query-side hopset."""

@@ -34,6 +34,7 @@ from repro.graphs.csr import Graph
 from repro.hopsets.clusters import ClusterMemory, Partition
 from repro.hopsets.errors import HopsetError
 from repro.pram.machine import PRAM
+from repro.pram.primitives import ceil_log2
 
 __all__ = ["EntryTable", "ClusterTables", "BFSResult", "neighbor_tables", "bfs_from_clusters"]
 
@@ -152,7 +153,7 @@ def _seed(
 
 
 def _tie_keys(table: EntryTable, *keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The kernels' tie keys; path tables append the input row position.
+    """The aggregation's tie keys; path tables append the input row position.
 
     The row position is unique, so it is the stable sort's tie rule and
     its per-group minimum names the winning row — the row whose path the
@@ -164,27 +165,60 @@ def _tie_keys(table: EntryTable, *keys: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _gather_paths(table: EntryTable, ties: tuple[np.ndarray, ...]) -> list | None:
-    """The winners' paths, gathered by the row key :func:`_tie_keys` added."""
+    """The winners' paths, gathered by the row-position key (the last tie key)."""
     if table.paths is None:
         return None
     return [table.paths[i] for i in ties[-1]]
+
+
+def _prune_rows(table: EntryTable, x: int, pram: PRAM) -> tuple[EntryTable, np.ndarray]:
+    """:func:`_dedup_and_prune`, also returning each survivor's input row.
+
+    The tie keys are ``(seed, row position)`` for every table.  The
+    position is unique, so it is the stable sort's own tie rule and keeps
+    the same rows; its per-group minimum names the winning input row,
+    whose path the survivor carries.
+    """
+    if table.size == 0:
+        return table, np.zeros(0, dtype=np.int64)
+    pos = np.arange(table.size, dtype=np.int64)
+    vert, src, dist, ties = pram.prune_entries(
+        table.vert, table.src, table.dist, (table.seed, pos), x
+    )
+    pruned = EntryTable(
+        vert=vert, src=src, dist=dist, seed=ties[0], paths=_gather_paths(table, ties)
+    )
+    return pruned, ties[1]
 
 
 def _dedup_and_prune(table: EntryTable, x: int, pram: PRAM) -> EntryTable:
     """Algorithm 3: dedup per (vertex, source) by min distance, keep x per vertex.
 
     Runs the grouped staged-minimum kernel
-    :func:`~repro.pram.primitives.pprune_entries` with ``seed`` as the
-    tie key; path-recording tables also pass the row position and carry
-    the winners' paths along.
+    :func:`~repro.pram.primitives.pprune_entries` with ``(seed, row
+    position)`` as the tie keys; path-recording tables carry the winners'
+    paths along.
     """
-    if table.size == 0:
-        return table
-    vert, src, dist, ties = pram.prune_entries(
-        table.vert, table.src, table.dist, _tie_keys(table, table.seed), x
-    )
-    return EntryTable(
-        vert=vert, src=src, dist=dist, seed=ties[0], paths=_gather_paths(table, ties)
+    return _prune_rows(table, x, pram)[0]
+
+
+def _only_seeds_moved(old: EntryTable, new: EntryTable, fresh: np.ndarray, pram: PRAM) -> bool:
+    """Whether a round left every ``(vert, src, dist)`` triple in place.
+
+    Both tables are in the prune's canonical row order with one row per
+    (vertex, source), and every non-fresh row is an old row.  So when the
+    sizes match, the triples are unchanged exactly when each fresh row
+    repeats the old row at its own position.  Charged as a compare over
+    the fresh rows and an AND-reduce.
+    """
+    if new.size != old.size:
+        return False
+    f = int(fresh.size)
+    pram.charge(work=f, depth=ceil_log2(max(f, 1)) + 1, label="converged")
+    return (
+        np.array_equal(new.vert[fresh], old.vert[fresh])
+        and np.array_equal(new.src[fresh], old.src[fresh])
+        and np.array_equal(new.dist[fresh], old.dist[fresh])
     )
 
 
@@ -198,28 +232,34 @@ def _propagate(
 ) -> EntryTable:
     """Propagation part: ``rounds`` rounds of threshold-pruned relaxation.
 
-    The per-round arc expansion runs through the fused CSR gather + add
-    kernel (each table entry is one frontier slot; entries of one vertex
-    gather its out-arcs once per entry), so the gather's prefix-sum depth
-    is charged honestly and its write-set is declared to the race
-    detector.
+    Each round expands only the *fresh* rows: those the previous round's
+    prune added or strictly improved, found as the survivors whose
+    winning input row lies past the old table (old rows precede the
+    candidates).  An unchanged row would only re-offer candidates that
+    were already kept or beaten, so every round's table is the one that
+    expanding all rows would give (docs/algorithms.md, "Delta
+    propagation").  The exploration stops when no row is fresh, or when
+    a round moved only seeds and no ``(vert, src, dist)`` triple.
+
+    Charged as it runs: the fused CSR gather + add over the fresh rows
+    (its prefix-sum depth and write-set declared), the prune over the
+    table plus the candidates, and the fresh-row pick as a ``select``.
     """
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     # per-scale cluster-graph gather plan: the cached degree array spares
     # every round below one row-pointer gather + subtract
     deg_all = pram.workspace.csr_degrees(graph)
     table = _dedup_and_prune(table, x, pram)
+    fresh = np.arange(table.size, dtype=np.int64)  # round 1 expands every row
     for _ in range(rounds):
-        if table.size == 0:
+        if fresh.size == 0:
             break
         rep, head, cand_dist = pram.gather_add(
-            indptr, indices, weights, table.vert, table.dist,
+            indptr, indices, weights, table.vert[fresh], table.dist[fresh],
             label="relax_gather", add_label="relax", deg_all=deg_all,
         )
-        if head.size == 0:
-            break
         keep = cand_dist <= threshold + _EPS_PAD
-        rep_k = rep[keep]
+        rep_k = fresh[rep[keep]]
         if rep_k.size == 0:
             break
         head_k = head[keep]
@@ -232,18 +272,16 @@ def _propagate(
                 None
                 if table.paths is None
                 else [
-                    table.paths[int(i)] + (int(h),)
-                    for i, h in zip(rep_k, head_k)
+                    table.paths[i] + (h,)
+                    for i, h in zip(rep_k.tolist(), head_k.tolist())
                 ]
             ),
         )
-        before = table.size
-        before_key = (table.vert.copy(), table.src.copy(), table.dist.copy())
-        table = _dedup_and_prune(EntryTable.concat(table, cand), x, pram)
-        if table.size == before and np.array_equal(table.vert, before_key[0]) and np.array_equal(
-            table.src, before_key[1]
-        ) and np.array_equal(table.dist, before_key[2]):
-            break  # converged early; remaining rounds are no-ops
+        old = table
+        table, won = _prune_rows(EntryTable.concat(old, cand), x, pram)
+        fresh = pram.select(won >= old.size, label="fresh_rows")
+        if fresh.size and _only_seeds_moved(old, table, fresh, pram):
+            break
     return table
 
 
@@ -370,29 +408,29 @@ def bfs_from_clusters(
         pram.charge(work=table.size, depth=1, label="distribute")
         table = _propagate(pram, graph, table, hops, threshold, x=1)
         agg = _aggregate(pram, partition, table, x=1)
-        fresh: list[int] = []
-        for row in range(agg.cluster.size):
-            c = int(agg.cluster[row])
-            if pulse[c] >= 0:
-                continue
-            pulse[c] = p
-            pr = int(agg.src[row])
-            pred[c] = pr
-            origin[c] = origin[pr]
-            z = int(agg.seed[row])
-            u = int(agg.member[row])
-            d = float(agg.dist[row])
-            seg_seed[c] = z
-            seg_member[c] = u
-            seg_dist[c] = d
-            cd_z = float(cd[z]) if cd is not None else 0.0
-            cd_u = float(cd[u]) if cd is not None else 0.0
-            acc[c] = acc[pr] + cd_z + d + cd_u
-            if seg_paths is not None and agg.paths is not None:
-                seg_paths[c] = agg.paths[row]
-            fresh.append(c)
+        # x = 1 leaves one row per cluster, and every detecting source is a
+        # frontier cluster detected in an earlier pulse, so no row of this
+        # pulse reads what another writes: the detections vectorize.
+        rows = np.flatnonzero(pulse[agg.cluster] < 0)
+        c = agg.cluster[rows]
+        pr = agg.src[rows]
+        z = agg.seed[rows]
+        u = agg.member[rows]
+        d = agg.dist[rows]
+        pulse[c] = p
+        pred[c] = pr
+        origin[c] = origin[pr]
+        seg_seed[c] = z
+        seg_member[c] = u
+        seg_dist[c] = d
+        cd_z = cd[z] if cd is not None else 0.0
+        cd_u = cd[u] if cd is not None else 0.0
+        acc[c] = acc[pr] + cd_z + d + cd_u
+        if seg_paths is not None and agg.paths is not None:
+            for row, cl in zip(rows.tolist(), c.tolist()):
+                seg_paths[cl] = agg.paths[row]
         pram.charge(work=ncl, depth=1, label="bfs_bookkeep")
-        frontier = np.array(fresh, dtype=np.int64)
+        frontier = c
     return BFSResult(
         pulse=pulse,
         origin=origin,

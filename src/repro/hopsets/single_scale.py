@@ -200,13 +200,12 @@ def build_single_scale(
         n_inter = 0
         with pram.phase(f"scale{k}/phase{i}/interconnect"):
             r_i = schedule.radii[i]
-            for row in range(tables.cluster.size):
-                c = int(tables.cluster[row])
-                s = int(tables.src[row])
-                if c == s or not (in_u[c] and in_u[s]):
-                    continue
-                if centers[c] > centers[s]:
-                    continue  # each unordered pair is emitted once
+            cl, sr = tables.cluster, tables.src
+            # each unordered pair of U_i clusters is emitted once
+            emit = (cl != sr) & in_u[cl] & in_u[sr] & (centers[cl] <= centers[sr])
+            for row in np.flatnonzero(emit).tolist():
+                c = int(cl[row])
+                s = int(sr[row])
                 u_vtx = int(tables.member[row])
                 z_vtx = int(tables.seed[row])
                 dist = float(tables.dist[row])

@@ -9,10 +9,10 @@ sort programs they must match are diffed case by case in
 edges (memory paths included), bit-identical charged work/depth/phase
 totals — differing only in wall-clock.  This matrix pins that promise
 over backend (serial, sharded W ∈ {1, 2}) × graph families × parameter
-points, each case for a plain build and a path-recording one (path
-tables add the row position as the kernels' last tie key).  The
-reference is a serial build; the build under test runs with hostile
-twists:
+points, each case for a plain build and a path-recording one (the
+prune's last tie key is the row position; path tables add it to the
+aggregation too).  The reference is a serial build; the build under
+test runs with hostile twists:
 
 * a **poisoned** buffer pool, so a kernel that reads a pooled cell
   before writing it produces loudly wrong output;
@@ -21,6 +21,11 @@ twists:
 * the sharded backends run with ``min_arcs=1`` / ``min_entry_rows=1``,
   forcing every relaxation and every entry reduction through the worker
   pool and its fixed-shard-order combines.
+
+A second matrix diffs every reference build against the same build run
+on the test-side full-propagation schedule
+(``tests/hopsets/full_propagation.py``), which expands every table row in
+every round where ``_propagate`` expands only the rows that changed.
 """
 
 import numpy as np
@@ -127,9 +132,11 @@ def test_sharded_entry_rounds_actually_engage(sharded_pools):
 
 
 def test_path_recording_build_runs_entry_kernels(monkeypatch):
-    """Path-recording tables run the grouped entry kernels, with the row
-    position appended as the last tie key — one key more than the plain
-    tables pass (a path-reporting build also explores some plain tables)."""
+    """Every table runs the grouped entry kernels.  The prune always ends
+    its tie keys with the row position, which names the winning rows (and
+    so the fresh rows of the delta schedule); the aggregation appends it
+    only for path-recording tables (a path-reporting build also explores
+    some plain tables)."""
     from repro.hopsets.path_reporting import build_path_reporting_hopset
     from repro.pram import primitives
 
@@ -150,12 +157,34 @@ def test_path_recording_build_runs_entry_kernels(monkeypatch):
     )
     g = SMOKE_FAMILIES["grid"](_N, _SEED)
     build_hopset(g, _POINTS["k3"], pram=PRAM())
-    # plain tables: seed; member + seed
-    assert keys_seen == {"prune": {1}, "aggregate": {2}}
+    # plain tables: seed + position; member + seed
+    assert keys_seen == {"prune": {2}, "aggregate": {2}}
     h, _ = build_path_reporting_hopset(g, _POINTS["k3"], PRAM())
-    assert keys_seen == {"prune": {1, 2}, "aggregate": {2, 3}}
+    assert keys_seen == {"prune": {2}, "aggregate": {2, 3}}
     paths = [e.path for e in h.edges]
     assert paths and all(p is not None for p in paths)
+
+
+@pytest.mark.parametrize("point", sorted(_POINTS))
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_build_matches_full_propagation_schedule(family, point, monkeypatch):
+    """The delta schedule (expand only the rows that changed last round)
+    builds the hopset that expanding every row builds: ordered edges with
+    memory paths, plain and path-recording.  Only the charged cost may
+    differ."""
+    from repro.hopsets import cluster_graph
+    from tests.hopsets.full_propagation import full_propagate
+
+    for record_paths in (False, True):
+        g, (h0, r0, _, _) = _baseline(family, point, record_paths)
+        with monkeypatch.context() as m:
+            m.setattr(cluster_graph, "_propagate", full_propagate)
+            h1, r1, c1, s1 = _build(g, _POINTS[point], record_paths, poison=False)
+        mode = "path-recording" if record_paths else "plain"
+        assert list(map(_edge_key, h1.edges)) == list(map(_edge_key, h0.edges)), mode
+        assert (r1.scales, r1.per_scale_edges) == (r0.scales, r0.per_scale_edges), mode
+        assert c1.work > r0.work, mode  # full expansion re-expands unchanged rows
+        assert s1.clean, [f.kind for f in s1.findings]
 
 
 @pytest.mark.parametrize("family", _FAMILIES)

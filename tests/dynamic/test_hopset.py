@@ -228,6 +228,21 @@ def test_scale_refresh_restores_liveness(dyn):
     _assert_never_under(dg, dh)
 
 
+def test_scale_list_is_rebound_by_a_refresh(dyn):
+    """``scales()`` is computed when the records are reindexed.  A refresh
+    rebinds it, so the list ``maintain()`` iterates never changes under
+    it, and the new list matches the new records."""
+    dg, dh = dyn
+    dh.refresh_below = 0.999
+    dh.rebuild_below = 0.0
+    held = dh.scales()
+    copy = list(held)
+    _decay(dg, dh, frac=0.5)
+    assert dh.maintain().action == "refresh"
+    assert held == copy
+    assert dh.scales() == sorted({e.scale for e in dh.records})
+
+
 def test_full_rebuild_when_too_far_gone(dyn):
     dg, dh = dyn
     dh.rebuild_below = dh.refresh_below = 1.0  # any decay → below threshold
