@@ -117,8 +117,7 @@ def run_sweep():
         backend = (
             ShardedBackend(workers=2, min_arcs=1) if width == "sharded:2" else None
         )
-        server = OracleServer(g, H, cache_size=g.n, backend=backend,
-                              batch_window=0.0)
+        server = OracleServer(g, H, cache_size=g.n, backend=backend)
         try:
             cold, cold_wall = _serve_pass(server, lines)
             warm, warm_wall = _serve_pass(server, lines)
@@ -220,7 +219,7 @@ def test_e25_table(benchmark):
         rows,
     )
     g, H = _workload()
-    server = OracleServer(g, H, cache_size=g.n, batch_window=0.0)
+    server = OracleServer(g, H, cache_size=g.n)
     lines = _stream()[:_BATCH]
     server.serve_batch(lines)  # warm the tiers; benchmark the hit path
     try:

@@ -156,7 +156,7 @@ def serve_sweep():
     rows = []
     for mode, block in (("looped", 1), ("matrix", None)):
         server = OracleServer(
-            g, H, cache_size=g.n, batch_window=0.0, mssp_block=block
+            g, H, cache_size=g.n, mssp_block=block
         )
         try:
             cold, cold_wall = _serve_pass(server, lines)

@@ -104,14 +104,14 @@ def main() -> int:
             )
             ok = False
 
-    singles = OracleServer(g, H, cache_size=g.n, batch_window=0.0)
+    singles = OracleServer(g, H, cache_size=g.n)
     try:
         cold_single, single_wall = _serve_pass(singles, lines, batch=1)
         check("singleton-batch serving", cold_single)
     finally:
         singles.close()
 
-    server = OracleServer(g, H, cache_size=g.n, batch_window=0.0)
+    server = OracleServer(g, H, cache_size=g.n)
     try:
         cold, cold_wall = _serve_pass(server, lines, batch=_BATCH)
         check("micro-batched serving (cold)", cold)

@@ -18,7 +18,7 @@ Usage::
     python -m repro conformance [--strict] [--seed N] [--n N] [--families er,grid] [--trace-out t.json]
     python -m repro serve   graph.npz [hopset.npz] [--host H --port P] [--probe "dist U V" ...]
                             [--max-requests N --log queries.log --pair-cache K
-                             --max-batch B --batch-window MS --cache-size S --hops B --backend SPEC]
+                             --max-batch B --cache-size S --hops B --backend SPEC]
                             [--mssp-block S] [--store DIR --warm [--epsilon E --kappa K ...]]
 
 ``trace`` runs the wrapped command under the observability layer
@@ -385,6 +385,14 @@ def _serve_hopset(args, g: Graph) -> tuple[Hopset | None, str]:
 
 
 def cmd_serve(args, pram: PRAM | None = None) -> int:
+    for flag, value, least in (
+        ("--max-batch", args.max_batch, 1),
+        ("--cache-size", args.cache_size, 1),
+        ("--pair-cache", args.pair_cache, 0),
+    ):
+        if value < least:
+            print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
+            return 2
     g = _read_graph(args.graph)
     if args.dynamic and not args.hopset and not args.warm:
         # the DynamicOracle builds its own path-reporting hopset
@@ -407,7 +415,6 @@ def cmd_serve(args, pram: PRAM | None = None) -> int:
             pair_cache=args.pair_cache,
             backend=getattr(args, "backend", None),
             max_batch=args.max_batch,
-            batch_window=args.batch_window / 1000.0,
             log_path=args.log,
             mssp_block=args.mssp_block,
             dynamic=args.dynamic,
@@ -888,9 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-cache", type=int, default=4096,
                    help="exact-hit pair cache entries (0 disables the tier)")
     p.add_argument("--max-batch", type=int, default=64,
-                   help="micro-batch size cap")
-    p.add_argument("--batch-window", type=float, default=1.0,
-                   help="micro-batch gather window, milliseconds (0: no wait)")
+                   help="most requests one micro-batch evaluation takes")
     p.add_argument("--cache-size", type=int, default=128,
                    help="LRU source-vector cache size")
     p.add_argument("--hops", type=int, default=None)

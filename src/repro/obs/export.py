@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.analysis.tables import render_table
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, bucket_upper
 from repro.obs.tracer import Span, SpanTracer
 from repro.pram.cost import RACE_TRAFFIC_PREFIX
 
@@ -339,13 +339,15 @@ def backend_health_report(
 
 
 def histogram_quantile(hist, q: float) -> float:
-    """Approximate quantile ``q`` of a log₂-bucketed :class:`Histogram`.
+    """Approximate quantile ``q`` of a :class:`Histogram`.
 
     Walks the buckets in order until the cumulative count reaches
-    ``q * count`` and returns that bucket's upper bound ``2^b``, clamped
-    into ``[min, max]`` of the exact extrema the histogram tracks — so the
-    answer is never tighter than a bucket but never outside the observed
-    range.  Returns ``0.0`` on an empty histogram.
+    ``q * count`` and returns that bucket's inclusive upper bound
+    (:func:`~repro.obs.metrics.bucket_upper`, at most 12.5% above any value
+    in the bucket), clamped into ``[min, max]`` of the exact extrema the
+    histogram tracks — so the answer is never below the observed quantile
+    and never outside the observed range.  Returns ``0.0`` on an empty
+    histogram.
     """
     if hist.count == 0:
         return 0.0
@@ -356,7 +358,7 @@ def histogram_quantile(hist, q: float) -> float:
     for bucket, n in sorted(hist.buckets.items()):
         seen += n
         if seen >= need:
-            return float(min(max(2.0 ** bucket, hist.min), hist.max))
+            return float(min(max(bucket_upper(bucket), hist.min), hist.max))
     return float(hist.max)  # pragma: no cover - q <= 1 always lands above
 
 
@@ -367,8 +369,10 @@ def serve_health_report(
 
     Summarizes the request/batch traffic, tier hit rates (the exact-hit
     pair cache and the per-source oracle cache), latency quantiles from
-    the ``serve.latency_us`` histogram (log₂-bucket approximations),
-    structured error counts, and any ``serve.fallback.<kind>`` degradation
+    the ``serve.latency_us`` histogram (arrival → reply encoded) and
+    queue-wait quantiles from ``serve.queue_wait_us`` (HDR-bucket upper
+    bounds, at most 12.5% above the observed value), structured error
+    counts, and any ``serve.fallback.<kind>`` degradation
     events.  Returns ``""`` when the registry saw no serving traffic at
     all — callers can print the result unconditionally.
     """
@@ -390,6 +394,10 @@ def serve_health_report(
         rows.append(["latency p50 us", f"{histogram_quantile(lat, 0.50):.1f}"])
         rows.append(["latency p99 us", f"{histogram_quantile(lat, 0.99):.1f}"])
         rows.append(["latency mean us", f"{lat.mean:.1f}"])
+    wait = metrics.histograms.get("serve.queue_wait_us")
+    if wait is not None and wait.count:
+        rows.append(["queue wait p50 us", f"{histogram_quantile(wait, 0.50):.1f}"])
+        rows.append(["queue wait p99 us", f"{histogram_quantile(wait, 0.99):.1f}"])
     for tier, hit_label, miss_label in (
         ("pair cache", "serve.cache.pair.hit", "serve.cache.pair.miss"),
         ("source cache", "oracle.cache.hit", "oracle.cache.miss"),

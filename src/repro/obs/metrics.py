@@ -14,7 +14,7 @@ A :class:`MetricsRegistry` subscribes to a
   their execution) — the one engineering figure next to the model ones,
 
 plus run-level totals (``cost.work``, ``cost.depth``, ``cost.charges``,
-``cost.phases``) and a log₂-bucketed size histogram per primitive
+``cost.phases``) and an HDR-style size histogram per primitive
 (``primitive.<label>.size``).  The traffic figures are *model-level*
 (derived from each primitive's CREW charging convention, see
 ``docs/model.md``) — they describe the simulated machine, not CPython.
@@ -25,13 +25,43 @@ returns one JSON-friendly dict for export next to a trace.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.pram.cost import CostHook, CostModel
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = [
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "MINOR_BUCKETS", "bucket_index", "bucket_upper",
+]
+
+#: Linear sub-buckets per power of two: a bucket is at most 1/8 = 12.5%
+#: wider than its lower bound.
+MINOR_BUCKETS = 8
+
+
+def bucket_index(value: float) -> int:
+    """The histogram bucket holding ``value`` (>= 0).
+
+    Bucket 0 is ``[0, 1]``; above 1, each power-of-two range
+    ``(2^e, 2^(e+1)]`` splits into :data:`MINOR_BUCKETS` equal-width
+    buckets, upper bounds included, numbered on from 1.  The float value
+    is bucketed as is: nothing is truncated first.
+    """
+    if value <= 1.0:
+        return 0
+    mant, exp = math.frexp(value)  # value = mant * 2**exp, 0.5 <= mant < 1
+    return (exp - 1) * MINOR_BUCKETS + math.ceil((2.0 * mant - 1.0) * MINOR_BUCKETS)
+
+
+def bucket_upper(index: int) -> float:
+    """The inclusive upper bound of bucket ``index``."""
+    if index == 0:
+        return 1.0
+    major, minor = divmod(index - 1, MINOR_BUCKETS)
+    return math.ldexp(1.0 + (minor + 1) / MINOR_BUCKETS, major)
 
 
 @dataclass
@@ -60,11 +90,14 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """Log₂-bucketed non-negative value distribution.
+    """HDR-style non-negative value distribution.
 
-    Bucket ``b`` counts observations ``v`` with ``2^(b-1) < v <= 2^b``
-    (bucket 0 holds v in {0, 1}).  Tracks count/sum/min/max exactly;
-    quantiles can be approximated from the buckets.
+    ``buckets`` maps :func:`bucket_index` to a count: log₂ major buckets,
+    each cut into :data:`MINOR_BUCKETS` linear minor buckets, so no bucket
+    is wider than 12.5% of its lower bound.  The layout is fixed, so two
+    histograms merge by adding counts per index.  Tracks count/sum/min/max
+    exactly; quantiles can be approximated from the buckets
+    (:func:`repro.obs.export.histogram_quantile`).
     """
 
     name: str
@@ -81,7 +114,7 @@ class Histogram:
         self.total += value
         self.min = min(self.min, value)
         self.max = max(self.max, value)
-        bucket = max(int(value) - 1, 0).bit_length()
+        bucket = bucket_index(value)
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     @property
@@ -95,7 +128,10 @@ class Histogram:
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
             "mean": self.mean,
-            "log2_buckets": {str(k): v for k, v in sorted(self.buckets.items())},
+            # keyed by each bucket's inclusive upper bound
+            "buckets": {
+                repr(bucket_upper(k)): v for k, v in sorted(self.buckets.items())
+            },
         }
 
 

@@ -35,12 +35,14 @@ changes.  When a race detector wants write footprints, the per-arc
 arrays must be materialized centrally anyway, so shadowed rounds run the
 in-process kernel (charged the same; see docs).
 
-**Graceful degradation.**  Rounds smaller than ``min_arcs`` never leave
-the process (IPC would dominate).  A worker death, round timeout, or
-registration failure permanently trips the backend: the pool is torn
-down, the event is logged and reported as ``backend.fallback`` traffic,
-and every subsequent round runs the serial kernel — same answers,
-serial wall-clock.  The fault-injection test kills a worker mid-run and
+**Graceful degradation.**  Rounds with fewer than ``min_arcs`` candidates
+(arcs × active rows) never leave the process: below the crossover
+measured in ``docs/backends.md``, IPC costs more than the work it
+splits.  A worker death, round timeout, or registration failure
+permanently trips the backend: the pool is torn down, the event is
+logged and reported as ``backend.fallback`` traffic, and every
+subsequent round runs the serial kernel — same answers, serial
+wall-clock.  The fault-injection test kills a worker mid-run and
 asserts the final distances are still bit-correct.
 
 Observability: each sharded round reports ``backend.round`` (arcs),
@@ -107,8 +109,11 @@ log = logging.getLogger("repro.backends")
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: Rounds with fewer arcs than this run in-process (IPC would dominate).
-DEFAULT_MIN_ARCS = 4096
+#: Rounds with fewer candidates (arcs × active rows) than this run
+#: in-process: the smallest count at which ``sharded:2`` beat the
+#: in-process round on a 2-vCPU Xeon (py3.11.7, numpy 2.4.6), measured
+#: with ``scripts/measure_crossover.py`` (table in ``docs/backends.md``).
+DEFAULT_MIN_ARCS = 132_610
 
 #: Entry-segmin rounds with fewer rows than this run in-process.  Entry
 #: rows are transient (fresh grouping every call, nothing to register in
@@ -567,7 +572,8 @@ class ShardedBackend(ExecutionBackend):
     workers:
         Worker process count ``W`` (default: ``min(4, cpu_count)``).
     min_arcs:
-        Rounds with fewer arcs run in-process (IPC would dominate).
+        Rounds with fewer candidates (arcs × active rows) run in-process;
+        the default is the crossover measured on the reference host.
     round_timeout:
         Seconds to wait for a worker's round before degrading to serial.
 

@@ -1,12 +1,14 @@
 """The micro-batcher: concurrent queries → one ordered batch evaluation.
 
 Transport threads (one per TCP connection) call :meth:`MicroBatcher.submit`
-and wait on the returned future; a single collector thread gathers whatever
-arrives within a short window (or until ``max_batch``) and hands the batch
-— in strict arrival order — to the ``evaluate`` callable in one go.  The
-Elkin–Neiman shape (arXiv:2004.07572): S concurrent queries against one
-hopset collapse into a multi-source evaluation, so distinct sources in the
-batch cost one β-hop exploration each and repeated sources cost none.
+and wait on the returned future; a single collector thread hands whatever
+is queued the moment it is free (up to ``max_batch``) — in strict arrival
+order — to the ``evaluate`` callable in one go.  This is group commit:
+nothing waits for company, a lone request starts at once, and requests
+that arrive during an evaluation form the next batch.  The Elkin–Neiman
+shape (arXiv:2004.07572): S concurrent queries against one hopset collapse
+into a multi-source evaluation, so distinct sources in the batch cost one
+β-hop exploration each and repeated sources cost none.
 
 Batching is a *wall-clock* optimization only.  Because the server's answer
 for each request is a pure function of the request (``docs/serving.md``),
@@ -17,7 +19,11 @@ exactly that, and the evaluate callable never sees out-of-order items.
 
 Evaluation runs on the collector thread alone, so the numeric tiers (NumPy
 kernels, the shared workspace, the sharded backend's pipes) are accessed
-single-threaded — no locks in the hot path.
+single-threaded — no locks in the hot path.  Each submission is stamped
+with its arrival time; while the collector evaluates a batch,
+:meth:`MicroBatcher.arrivals` returns the batch's stamps on that thread,
+which is how the server measures queue wait without changing the
+evaluate signature.
 """
 
 from __future__ import annotations
@@ -42,30 +48,21 @@ class MicroBatcher:
         raised exception fails every future of that batch (and only that
         batch — the collector keeps serving).
     max_batch:
-        Evaluate as soon as this many requests are pending.
-    window_s:
-        After the first request of a batch arrives, wait at most this long
-        for company before evaluating; ``0`` evaluates immediately with
-        whatever is queued.
+        Most requests one evaluation takes; the rest wait for the next.
     """
 
     def __init__(
-        self,
-        evaluate: Callable[[Sequence], Sequence],
-        max_batch: int = 64,
-        window_s: float = 0.001,
+        self, evaluate: Callable[[Sequence], Sequence], max_batch: int = 64
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
         self._evaluate = evaluate
         self.max_batch = int(max_batch)
-        self.window_s = float(window_s)
         self._cv = threading.Condition()
-        self._pending: deque[tuple[object, Future]] = deque()
+        self._pending: deque[tuple[object, Future, int]] = deque()
         self._closed = False
         self._thread: threading.Thread | None = None
+        self._local = threading.local()
         self.batches = 0
         self.submitted = 0
 
@@ -74,10 +71,11 @@ class MicroBatcher:
     def submit(self, item) -> Future:
         """Enqueue one request; the future resolves to its evaluate result."""
         fut: Future = Future()
+        arrived = time.perf_counter_ns()
         with self._cv:
             if self._closed:
                 raise RuntimeError("batcher is closed")
-            self._pending.append((item, fut))
+            self._pending.append((item, fut, arrived))
             self.submitted += 1
             if self._thread is None:
                 self._thread = threading.Thread(
@@ -86,6 +84,14 @@ class MicroBatcher:
                 self._thread.start()
             self._cv.notify()
         return fut
+
+    def arrivals(self) -> list[int] | None:
+        """``perf_counter_ns`` arrival stamps of the batch being evaluated.
+
+        Aligned with the evaluate call's items; ``None`` on any thread
+        other than the collector inside an evaluation.
+        """
+        return getattr(self._local, "arrivals", None)
 
     def close(self) -> None:
         """Stop the collector after draining whatever is already queued."""
@@ -98,22 +104,13 @@ class MicroBatcher:
 
     # -- collector thread ----------------------------------------------------
 
-    def _take_batch(self) -> list[tuple[object, Future]] | None:
-        """Block until a batch is ready (or ``None`` at close-and-drained)."""
+    def _take_batch(self) -> list[tuple[object, Future, int]] | None:
+        """Block until work is queued (or ``None`` at close-and-drained)."""
         with self._cv:
             while not self._pending:
                 if self._closed:
                     return None
                 self._cv.wait()
-            if self.window_s > 0:
-                # first arrival opens the window; gather company until the
-                # window closes or the batch fills
-                deadline = time.monotonic() + self.window_s
-                while len(self._pending) < self.max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cv.wait(timeout=remaining)
             batch = []
             while self._pending and len(batch) < self.max_batch:
                 batch.append(self._pending.popleft())
@@ -124,7 +121,8 @@ class MicroBatcher:
             batch = self._take_batch()
             if batch is None:
                 return
-            items = [item for item, _ in batch]
+            items = [item for item, _, _ in batch]
+            self._local.arrivals = [arrived for _, _, arrived in batch]
             try:
                 results = self._evaluate(items)
                 if len(results) != len(items):
@@ -133,11 +131,13 @@ class MicroBatcher:
                         f"for {len(items)} items"
                     )
             except BaseException as exc:  # noqa: BLE001 - forwarded per-future
-                for _, fut in batch:
+                for _, fut, _ in batch:
                     if not fut.cancelled():
                         fut.set_exception(exc)
                 continue
+            finally:
+                self._local.arrivals = None
             self.batches += 1
-            for (_, fut), res in zip(batch, results):
+            for (_, fut, _), res in zip(batch, results):
                 if not fut.cancelled():
                     fut.set_result(res)

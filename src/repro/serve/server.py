@@ -39,9 +39,12 @@ interrupt the batch, the connection, or the server.
 
 Observability: ``serve.request`` / ``serve.batch`` / ``serve.cache.pair.*``
 / ``serve.error.<code>`` / ``serve.fallback.<kind>`` cost-model traffic
-(the oracle tier adds ``oracle.cache.{hit,miss}``), a ``serve.latency_us``
-histogram of per-request service time, and the
-:func:`repro.obs.export.serve_health_report` table over all of it.
+(the oracle tier adds ``oracle.cache.{hit,miss}``), per-request stage
+histograms — ``serve.latency_us`` (arrival → reply encoded) and its three
+parts ``serve.queue_wait_us`` (arrival → batch start), ``serve.explore_us``
+(→ the request's segment pre-explored) and ``serve.answer_us`` (→ reply
+encoded) — and the :func:`repro.obs.export.serve_health_report` table over
+all of it.
 """
 
 from __future__ import annotations
@@ -103,9 +106,9 @@ class OracleServer:
         string (``"sharded:2"``), or ``None`` for the ``REPRO_BACKEND``
         default.  The server never closes a backend it did not create
         (specs resolve to process-wide singletons).
-    max_batch, batch_window:
-        Micro-batcher knobs (:class:`~repro.serve.batcher.MicroBatcher`);
-        ``batch_window`` is in seconds.
+    max_batch:
+        Most requests one micro-batch evaluation takes
+        (:class:`~repro.serve.batcher.MicroBatcher`).
     log_path:
         When given, every served ``dist``/``path`` request line is
         appended there in served order — a deterministic replay input
@@ -144,7 +147,6 @@ class OracleServer:
         pair_cache: int = 4096,
         backend=None,
         max_batch: int = 64,
-        batch_window: float = 0.001,
         log_path=None,
         metrics: MetricsRegistry | None = None,
         mssp_block: int | None = None,
@@ -188,9 +190,7 @@ class OracleServer:
             union=union,
         )
         self.pairs = PairCache(pair_cache)
-        self.batcher = MicroBatcher(
-            self.serve_batch, max_batch=max_batch, window_s=batch_window
-        )
+        self.batcher = MicroBatcher(self.serve_batch, max_batch=max_batch)
         #: cumulative charged work attributed to each explored source
         self.source_charges: dict[int, int] = {}
         self.requests = 0
@@ -303,7 +303,6 @@ class OracleServer:
             self.pram.cost.traffic("serve.update.refresh", elements=1)
 
     def _serve_one(self, item) -> str:
-        t0 = time.perf_counter_ns()
         try:
             req = parse_line(item) if isinstance(item, str) else item
             if req.kind == "dist":
@@ -332,10 +331,16 @@ class OracleServer:
             reply = format_error(exc.code, exc.message)
         self.requests += 1
         self.pram.cost.traffic("serve.request", elements=1)
-        self.registry.histogram("serve.latency_us").observe(
-            (time.perf_counter_ns() - t0) / 1e3
-        )
         return reply
+
+    def _observe(self, arrived: int, start: int, explored: int) -> None:
+        """Book one request's stage histograms, reply encoded just now."""
+        done = time.perf_counter_ns()
+        hist = self.registry.histogram
+        hist("serve.queue_wait_us").observe((start - arrived) / 1e3)
+        hist("serve.explore_us").observe((explored - start) / 1e3)
+        hist("serve.answer_us").observe((done - explored) / 1e3)
+        hist("serve.latency_us").observe((done - arrived) / 1e3)
 
     # -- the batch entry points ----------------------------------------------
 
@@ -404,18 +409,33 @@ class OracleServer:
         and no pre-explored vector leaks across an invalidation.  A
         mutation-free batch takes the single-segment path, byte- and
         counter-identical to a server without ``--dynamic``.
+
+        Each request's stage histograms are booked as its reply is
+        encoded.  Its arrival is the micro-batcher's submit stamp, or the
+        batch start for direct callers; the batch starts once the lock
+        is held.
         """
+        arrivals = self.batcher.arrivals()
         with self._lock:
+            start = time.perf_counter_ns()
+            if arrivals is None:
+                arrivals = [start] * len(items)
             self.pram.cost.traffic("serve.batch", elements=len(items))
             replies: list[str] = []
             segment: list = []
+
+            def answer(item, explored: int) -> None:
+                replies.append(self._serve_one(item))
+                self._observe(arrivals[len(replies) - 1], start, explored)
 
             def flush() -> None:
                 if not segment:
                     return
                 self._pre_explore(segment)
+                explored = time.perf_counter_ns()
                 try:
-                    replies.extend(self._serve_one(item) for item in segment)
+                    for item in segment:
+                        answer(item, explored)
                 finally:
                     self.oracle.finish_batch()
                 segment.clear()
@@ -423,7 +443,7 @@ class OracleServer:
             for item in items:
                 if self._mutates(item):
                     flush()
-                    replies.append(self._serve_one(item))
+                    answer(item, start)  # a mutation explores nothing
                 else:
                     segment.append(item)
             flush()

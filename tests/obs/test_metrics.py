@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.export import histogram_quantile
+from repro.obs.metrics import (
+    MINOR_BUCKETS,
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    bucket_index,
+    bucket_upper,
+)
 from repro.pram.cost import CostModel
 from repro.pram.machine import PRAM
 
@@ -18,16 +26,50 @@ def test_counter_is_monotone():
 
 
 def test_histogram_log2_buckets():
+    """log₂ major buckets, each cut into 8 linear minor buckets."""
     h = Histogram("sizes")
-    for v in (0, 1, 2, 3, 4, 1000):
+    for v in (0, 1, 2, 3, 4, 4.5, 1000):
         h.observe(v)
-    # {0,1} -> bucket 0; 2 -> 1; {3,4} -> 2; 1000 -> 10
-    assert h.buckets == {0: 2, 1: 1, 2: 2, 10: 1}
-    assert h.count == 6
+    # {0,1} -> [0, 1]; 2 -> (1.875, 2]; 3 -> (2.75, 3]; 4 -> (3.75, 4];
+    # 4.5 -> (4, 4.5]; 1000 -> (960, 1024]
+    assert h.buckets == {0: 2, 8: 1, 12: 1, 16: 1, 17: 1, 80: 1}
+    assert [bucket_upper(b) for b in sorted(h.buckets)] == [1, 2, 3, 4, 4.5, 1024]
+    assert h.count == 7
     assert h.min == 0 and h.max == 1000
-    assert h.mean == pytest.approx(1010 / 6)
+    assert h.mean == pytest.approx(1014.5 / 7)
+    assert h.to_dict()["buckets"] == {
+        "1.0": 2, "2.0": 1, "3.0": 1, "4.0": 1, "4.5": 1, "1024.0": 1,
+    }
     with pytest.raises(ValueError):
         h.observe(-1)
+
+
+def test_histogram_buckets_are_narrow_and_hold_their_values():
+    """Every value lands in (lower, upper] with upper <= 1.125 * lower."""
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.uniform(1.0, 4096.0, 2000), [1.5, 2.25, 4.5, 2**20]])
+    for v in values:
+        b = bucket_index(float(v))
+        lo, hi = bucket_upper(b - 1), bucket_upper(b)
+        assert lo < v <= hi
+        assert hi <= lo * (1 + 1 / MINOR_BUCKETS)
+
+
+def test_histogram_quantile_never_below_the_observed_quantile():
+    """Float values are bucketed as is: 4.5 is not filed under (2, 4]."""
+    h = Histogram("t")
+    for v in (4.5, 4.5, 4.5, 1.0):
+        h.observe(v)
+    assert histogram_quantile(h, 0.5) >= 4.5
+    rng = np.random.default_rng(4)
+    values = rng.lognormal(6.0, 1.5, 5000)
+    h = Histogram("lat")
+    for v in values:
+        h.observe(float(v))
+    for q in (0.5, 0.9, 0.99):
+        observed = float(np.quantile(values, q, method="inverted_cdf"))
+        reported = histogram_quantile(h, q)
+        assert observed <= reported <= observed * (1 + 1 / MINOR_BUCKETS)
 
 
 def test_histogram_to_dict_empty():

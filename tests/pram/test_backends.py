@@ -3,7 +3,7 @@
 Covers spec parsing and singleton resolution, shard partitioning, the
 deterministic tree min-combine against a straight ``reduceat`` reference
 (including straddling segments and value ties), the ``min_arcs``
-in-process guard, and the graceful-degradation path: a worker killed
+in-process guard and the default threshold's routing, and the graceful-degradation path: a worker killed
 mid-computation must trip permanent serial fallback and still produce
 bit-correct distances.
 """
@@ -25,9 +25,16 @@ from repro.pram.backends import (
     tree_min_combine,
 )
 from repro.pram.backends.base import _SINGLETONS, serial_entry_segmin
-from repro.pram.backends.sharded import _entry_partial, entry_tree_combine
+from repro.obs.metrics import MetricsRegistry
+from repro.pram.backends.sharded import (
+    DEFAULT_MIN_ARCS,
+    _entry_partial,
+    entry_tree_combine,
+)
+from repro.pram.cost import CostModel
 from repro.pram.errors import InvalidStepError
 from repro.pram.machine import PRAM
+from repro.pram.workspace import Workspace
 from repro.sssp.bellman_ford import bellman_ford
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -228,6 +235,40 @@ def test_min_arcs_guard_keeps_small_rounds_in_process():
         assert np.array_equal(ref.dist, res.dist)
         assert be.sharded_rounds == 0 and be.serial_rounds > 0
         assert not be._procs  # the pool was never spawned
+    finally:
+        be.close()
+
+
+def test_default_min_arcs_routes_by_candidate_count():
+    """At the default threshold a batched round's route follows rows × arcs.
+
+    A block one row short of ``DEFAULT_MIN_ARCS`` candidates runs
+    in-process, is reported as ``min-arcs`` and spawns no worker; a block
+    at the threshold runs on the pool and is bit-equal to serial.
+    """
+    g = _graph()
+    ws = Workspace(poison=False)
+    plan = ws.relax_plan(g)
+    rows = -(-DEFAULT_MIN_ARCS // plan.n_arcs)  # fewest rows at the threshold
+    assert (rows - 1) * plan.n_arcs < DEFAULT_MIN_ARCS <= rows * plan.n_arcs
+    block = np.random.default_rng(5).uniform(0.0, 10.0, (rows, g.n))
+    serial = SerialBackend()
+    cost = CostModel()
+    registry = MetricsRegistry.attach(cost)
+    be = ShardedBackend(workers=2)
+    try:
+        ref = [a.copy() for a in serial.relax_segmin_batch(plan, block[:-1], ws.take)]
+        short = be.relax_segmin_batch(plan, block[:-1], ws.take, cost)
+        assert all(np.array_equal(x, y) for x, y in zip(short, ref))
+        assert (be.serial_rounds, be.sharded_rounds) == (1, 0)
+        reason = registry.counters["primitive.backend.serial_round.min-arcs.elements"]
+        assert reason.value == 1
+        assert not be._procs  # the pool was never spawned
+
+        ref = [a.copy() for a in serial.relax_segmin_batch(plan, block, ws.take)]
+        at = be.relax_segmin_batch(plan, block, ws.take, cost)
+        assert (be.serial_rounds, be.sharded_rounds) == (1, 1) and not be.failed
+        assert all(np.array_equal(x, y) for x, y in zip(at, ref))
     finally:
         be.close()
 

@@ -43,7 +43,7 @@ def query_lines(draw):
 
 def _serve(lines, cuts):
     """Serve ``lines`` sliced at ``cuts``; returns (line→reply, charges)."""
-    server = OracleServer(_G, _H, cache_size=_G.n, batch_window=0.0)
+    server = OracleServer(_G, _H, cache_size=_G.n)
     try:
         replies = {}
         lo = 0

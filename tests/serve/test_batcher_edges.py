@@ -1,11 +1,11 @@
-"""Window-edge behavior of the micro-batcher, plus histogram quantiles.
+"""Group-commit edges of the micro-batcher, plus histogram quantiles.
 
 The batching contract (docs/serving.md) says batching is a wall-clock
-optimization only: no arrival timing may drop a request.  The edge these
-tests pin is the gather-window boundary — a request landing *exactly*
-when the window closes is popped with the closing batch, and a request
-landing after the collector has taken its batch is served by the next
-one; neither is ever lost.  Alongside: ``histogram_quantile`` on the
+optimization only: no arrival timing may drop a request.  The collector
+evaluates whatever is queued the moment it is free, so the edges these
+tests pin are a request landing while an evaluation runs (it is served
+by the next batch, never lost) and back-to-back submissions racing the
+collector (every one resolves).  Alongside: ``histogram_quantile`` on the
 degenerate histograms (empty, single-bucket) the serving health table
 feeds it.
 """
@@ -13,67 +13,16 @@ feeds it.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 from repro.obs.export import histogram_quantile
 from repro.obs.metrics import Histogram
-from repro.serve import batcher as batcher_mod
 from repro.serve.batcher import MicroBatcher
 
 
-class _Clock:
-    """Controllable stand-in for ``time.monotonic`` inside the batcher.
-
-    ``read`` fires on the first lookup — the collector computing the
-    window deadline — so a test can sequence itself against the window
-    actually being open before it advances the clock.
-    """
-
-    def __init__(self) -> None:
-        self.t = 0.0
-        self.read = threading.Event()
-
-    def monotonic(self) -> float:
-        self.read.set()
-        return self.t
-
-
-def test_arrival_exactly_at_window_close_is_batched_not_dropped(monkeypatch):
-    """A submit landing at the precise expiry instant rides the closing batch.
-
-    The clock is frozen, then jumped to exactly the window's deadline —
-    the collector's ``remaining`` computes to exactly 0, the boundary
-    case — while a second request is already pending.  Both must come
-    out of the same evaluation; nothing may be dropped on the edge.
-    """
-    clock = _Clock()
-    monkeypatch.setattr(batcher_mod, "time", clock)
-    seen: list[list[object]] = []
-
-    def evaluate(items):
-        seen.append(list(items))
-        return [f"ok {i}" for i in items]
-
-    b = MicroBatcher(evaluate, max_batch=8, window_s=0.05)
-    f1 = b.submit("a")
-    # first monotonic() read == the deadline computation: the window is open
-    assert clock.read.wait(2.0)
-    # a second request arrives and the clock lands exactly on the deadline
-    f2 = b.submit("b")
-    clock.t = 0.05
-    with b._cv:
-        b._cv.notify()
-    assert f1.result(timeout=5.0) == "ok a"
-    assert f2.result(timeout=5.0) == "ok b"
-    assert ["a", "b"] in seen  # one batch carried both; neither was dropped
-    b.close()
-    assert b.submitted == 2
-
-
-def test_arrival_after_window_expiry_joins_next_batch():
-    """A request arriving once the window closed is served by the *next* batch."""
+def test_arrival_during_evaluation_joins_next_batch():
+    """A request arriving mid-evaluation is served by the *next* batch."""
     release = threading.Event()
     first_running = threading.Event()
     seen: list[list[object]] = []
@@ -85,11 +34,11 @@ def test_arrival_after_window_expiry_joins_next_batch():
             assert release.wait(5.0)
         return [f"ok {i}" for i in items]
 
-    b = MicroBatcher(evaluate, max_batch=8, window_s=0.002)
+    b = MicroBatcher(evaluate, max_batch=8)
     f1 = b.submit("a")
     assert first_running.wait(2.0)
-    # batch 1 is being evaluated -> its window is over; this arrival must
-    # open (and be served by) a fresh batch, not vanish with the old one
+    # batch 1 is being evaluated; this arrival must be served by a fresh
+    # batch, not vanish with the old one
     f2 = b.submit("late")
     release.set()
     assert f1.result(timeout=2.0) == "ok a"
@@ -100,19 +49,20 @@ def test_arrival_after_window_expiry_joins_next_batch():
     b.close()
 
 
-def test_zero_window_still_serves_every_submission():
-    """``window_s=0`` evaluates immediately; back-to-back submits all resolve."""
+def test_back_to_back_submissions_all_resolve():
+    """Submits racing the collector all resolve, in batches of at most max_batch."""
     seen: list[list[object]] = []
 
     def evaluate(items):
         seen.append(list(items))
         return [f"ok {i}" for i in items]
 
-    b = MicroBatcher(evaluate, max_batch=4, window_s=0.0)
+    b = MicroBatcher(evaluate, max_batch=4)
     futures = [b.submit(i) for i in range(10)]
     assert [f.result(timeout=2.0) for f in futures] == [f"ok {i}" for i in range(10)]
     b.close()
-    assert sum(len(batch) for batch in seen) == 10
+    assert [i for batch in seen for i in batch] == list(range(10))
+    assert all(len(batch) <= 4 for batch in seen)
     assert b.submitted == 10
 
 
@@ -129,7 +79,7 @@ def test_histogram_quantile_single_bucket_clamps_to_observed_value():
     h = Histogram("single")
     h.observe(7.0)
     # one bucket, one observation: every quantile is the exact value
-    # (clamped into [min, max]), not the bucket's power-of-two bound
+    # (clamped into [min, max]), not the bucket's upper bound
     for q in (0.0, 0.25, 0.5, 0.99, 1.0):
         assert histogram_quantile(h, q) == 7.0
 

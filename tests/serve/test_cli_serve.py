@@ -17,8 +17,7 @@ def artifacts(tmp_path_factory):
 
 def test_serve_probe_answers_and_prints_stats(artifacts, capsys):
     g, h = artifacts
-    assert main(["serve", str(g), str(h), "--probe", "dist 0 5",
-                 "--batch-window", "0"]) == 0
+    assert main(["serve", str(g), str(h), "--probe", "dist 0 5"]) == 0
     out = capsys.readouterr().out
     assert "ok dist 0 5 " in out
     assert "serve stats:" in out
@@ -29,18 +28,31 @@ def test_serve_probe_mssp_block_loop_matches_matrix(artifacts, capsys):
     """--mssp-block 1 (per-source loop) serves the identical reply."""
     g, h = artifacts
     probes = ["--probe", "dist 0 5", "--probe", "dist 3 7"]
-    assert main(["serve", str(g), str(h), *probes, "--batch-window", "0"]) == 0
+    assert main(["serve", str(g), str(h), *probes]) == 0
     matrix = [
         line for line in capsys.readouterr().out.splitlines()
         if line.startswith("ok ")
     ]
-    assert main(["serve", str(g), str(h), *probes, "--batch-window", "0",
+    assert main(["serve", str(g), str(h), *probes,
                  "--mssp-block", "1"]) == 0
     looped = [
         line for line in capsys.readouterr().out.splitlines()
         if line.startswith("ok ")
     ]
     assert matrix == looped
+
+
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--max-batch", "0", 1), ("--cache-size", "0", 1), ("--pair-cache", "-1", 0)],
+)
+def test_serve_rejects_bad_sizes_as_usage_errors(artifacts, capsys, flag, value, least):
+    """A bad size is a usage error (exit 2, one line), not a traceback."""
+    g, h = artifacts
+    assert main(["serve", str(g), str(h), "--probe", "dist 0 5", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{flag} must be >= {least}, got {value}"]
+    assert "ok dist" not in captured.out
 
 
 def test_serve_warm_requires_store(artifacts, capsys):
@@ -60,7 +72,7 @@ def test_serve_warm_boot_files_then_hits(artifacts, tmp_path, capsys):
     store = tmp_path / "store"
     # cold boot: store miss -> fresh build, filed under the content key
     assert main(["serve", str(g), "--warm", "--store", str(store),
-                 "--probe", "dist 0 5", "--batch-window", "0"]) == 0
+                 "--probe", "dist 0 5"]) == 0
     cold = capsys.readouterr().out
     cold_reply = next(l for l in cold.splitlines() if l.startswith("ok dist"))
 
@@ -70,7 +82,7 @@ def test_serve_warm_boot_files_then_hits(artifacts, tmp_path, capsys):
 
     # warm boot: the filed artifact serves the bit-identical answer
     assert main(["serve", str(g), "--warm", "--store", str(store),
-                 "--probe", "dist 0 5", "--batch-window", "0"]) == 0
+                 "--probe", "dist 0 5"]) == 0
     warm = capsys.readouterr().out
     warm_reply = next(l for l in warm.splitlines() if l.startswith("ok dist"))
     assert warm_reply == cold_reply

@@ -94,7 +94,7 @@ def test_served_replies_bit_exact_vs_offline(built, sharded, family, batch, work
     lines = _stream(g.n)
     expected = _offline_replies(g, H, lines)
     backend = sharded if workers == 2 else None
-    server = OracleServer(g, H, cache_size=g.n, backend=backend, batch_window=0.0)
+    server = OracleServer(g, H, cache_size=g.n, backend=backend)
     try:
         cold = []
         for lo in range(0, len(lines), batch):
@@ -116,7 +116,7 @@ def test_interleaved_submit_matches_offline(built):
     g, H = built["er"]
     lines = _stream(g.n)
     expected = _offline_replies(g, H, lines)
-    server = OracleServer(g, H, cache_size=g.n, batch_window=0.005)
+    server = OracleServer(g, H, cache_size=g.n)
     try:
         futs = [server.submit_line(line) for line in lines]
         assert [f.result(timeout=60) for f in futs] == expected

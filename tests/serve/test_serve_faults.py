@@ -39,7 +39,7 @@ def test_worker_death_mid_batch_degrades_bit_correct(setup):
     g, H = setup
     offline = HopsetDistanceOracle(g, H, cache_size=g.n)
     be = ShardedBackend(workers=2, min_arcs=1, round_timeout=10.0)
-    server = OracleServer(g, H, cache_size=g.n, backend=be, batch_window=0.0)
+    server = OracleServer(g, H, cache_size=g.n, backend=be)
     try:
         warm = server.serve_batch(["dist 0 5"])  # spins the pool up
         assert be.sharded_rounds > 0 and be._procs
@@ -86,7 +86,7 @@ def test_server_on_already_failed_backend_learns_state(setup):
         bellman_ford(PRAM(backend=be), g, 0, 2, early_exit=False)  # trips _fail
         assert be.failed
 
-        server = OracleServer(g, H, backend=be, batch_window=0.0)
+        server = OracleServer(g, H, backend=be)
         assert server.degraded == be.failure_kind
         assert _fallback_count(server, be.failure_kind) == 1
         assert server.handle_line("dist 3 8").startswith("ok dist 3 8 ")
@@ -97,7 +97,7 @@ def test_server_on_already_failed_backend_learns_state(setup):
 
 def test_malformed_lines_never_kill_the_server(setup):
     g, H = setup
-    server = OracleServer(g, H, batch_window=0.0)
+    server = OracleServer(g, H)
     try:
         hostile = [
             "", "   ", "dist", "dist 1", "dist 1 2 3", "dist 1e3 2",

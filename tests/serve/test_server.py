@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def setup():
 @pytest.fixture
 def server(setup):
     g, H = setup
-    srv = OracleServer(g, H, batch_window=0.0)
+    srv = OracleServer(g, H)
     yield srv
     srv.close()
 
@@ -121,7 +122,7 @@ def test_submit_line_futures_resolve_in_arrival_order(server):
 def test_query_log_records_and_replays_bitwise(setup, tmp_path):
     g, H = setup
     log = tmp_path / "queries.log"
-    srv = OracleServer(g, H, batch_window=0.0, log_path=log)
+    srv = OracleServer(g, H, log_path=log)
     replies = srv.serve_batch(
         ["dist 0 5", "path 0 9", "stats", "bad line", "dist 5 0"]
     )
@@ -129,7 +130,7 @@ def test_query_log_records_and_replays_bitwise(setup, tmp_path):
     lines = read_query_log(log)
     # stats (nondeterministic reply) and the malformed line are not recorded
     assert lines == ["dist 0 5", "path 0 9", "dist 5 0"]
-    fresh = OracleServer(g, H, batch_window=0.0)
+    fresh = OracleServer(g, H)
     replayed = fresh.replay(lines)
     fresh.close()
     assert replayed == [replies[0], replies[1], replies[4]]
@@ -140,7 +141,7 @@ def test_query_log_records_and_replays_bitwise(setup, tmp_path):
 
 def test_tcp_round_trip_and_quit(setup):
     g, H = setup
-    srv = OracleServer(g, H, batch_window=0.0)
+    srv = OracleServer(g, H)
     tcp = serve_tcp(srv)
     thread = threading.Thread(target=tcp.serve_forever, daemon=True)
     thread.start()
@@ -162,7 +163,7 @@ def test_tcp_round_trip_and_quit(setup):
 
 def test_request_limit_callback_fires_once(setup):
     g, H = setup
-    srv = OracleServer(g, H, batch_window=0.0)
+    srv = OracleServer(g, H)
     fired = []
     srv.on_request_limit(2, lambda: fired.append(True))
     srv.handle_line("dist 0 1")
@@ -178,7 +179,7 @@ def test_request_limit_callback_fires_once(setup):
 
 def test_serve_traffic_and_health_report(setup):
     g, H = setup
-    srv = OracleServer(g, H, batch_window=0.0)
+    srv = OracleServer(g, H)
     srv.serve_batch(["dist 0 5", "dist 0 5", "dist 0 99"])
     counters = srv.registry.counters
     assert counters["primitive.serve.request.elements"].value == 3
@@ -189,12 +190,72 @@ def test_serve_traffic_and_health_report(setup):
     report = serve_health_report(srv.registry)
     assert "requests" in report and "pair cache hit rate" in report
     assert "errors (out-of-range)" in report
+    assert "queue wait p50 us" in report and "queue wait p99 us" in report
+    srv.close()
+
+
+_STAGES = ("serve.queue_wait_us", "serve.explore_us", "serve.answer_us")
+
+
+def test_latency_covers_queue_wait_behind_a_held_evaluation(setup):
+    """serve.latency_us runs from submit to reply and splits into its stages.
+
+    The collector is held inside one evaluation (its exploration blocks)
+    for at least 50 ms while a second request is submitted: that request's
+    latency includes the hold, and the three stage histograms sum to the
+    latency histogram.
+    """
+    g, H = setup
+    srv = OracleServer(g, H)
+    hold_s = 0.05
+    holding, release = threading.Event(), threading.Event()
+    explore_many = srv.oracle.explore_many
+
+    def held(sources):
+        if not holding.is_set():
+            holding.set()
+            assert release.wait(30)
+        return explore_many(sources)
+
+    srv.oracle.explore_many = held
+    first = srv.submit_line("dist 0 1")
+    assert holding.wait(30)
+    second = srv.submit_line("dist 2 3")
+    time.sleep(hold_s)
+    release.set()
+    assert first.result(timeout=30).startswith("ok dist 0 1 ")
+    assert second.result(timeout=30).startswith("ok dist 2 3 ")
+    srv.close()
+    hists = srv.registry.histograms
+    lat = hists["serve.latency_us"]
+    assert lat.count == 2 and lat.min >= hold_s * 1e6
+    assert hists["serve.queue_wait_us"].max >= hold_s * 1e6  # the second one
+    assert all(hists[name].count == 2 for name in _STAGES)
+    assert sum(hists[name].total for name in _STAGES) == pytest.approx(lat.total)
+
+
+def test_direct_callers_arrive_at_batch_start(setup):
+    """serve_batch callers bypass the queue; mutations explore nothing."""
+    g, _ = setup
+    srv = OracleServer(
+        g, None, dynamic=True, params=HopsetParams(epsilon=0.25, beta=8)
+    )
+    u, v = int(g.edge_u[0]), int(g.edge_v[0])
+    replies = srv.serve_batch(["dist 0 5", f"update {u} {v} 2.5", "dist 0 5"])
+    assert all(reply.startswith("ok ") for reply in replies)
+    hists = srv.registry.histograms
+    assert hists["serve.queue_wait_us"].count == 3
+    assert hists["serve.queue_wait_us"].max == 0.0
+    assert hists["serve.explore_us"].min == 0.0  # the update
+    assert sum(hists[name].total for name in _STAGES) == pytest.approx(
+        hists["serve.latency_us"].total
+    )
     srv.close()
 
 
 def test_health_report_empty_without_serve_traffic(setup):
     g, H = setup
-    srv = OracleServer(g, H, batch_window=0.0)
+    srv = OracleServer(g, H)
     assert serve_health_report(srv.registry) == ""
     srv.close()
 
@@ -239,7 +300,7 @@ def test_batcher_caps_and_propagates_failures():
             raise RuntimeError("evaluate failed")
         return [i * 2 for i in items]
 
-    mb = MicroBatcher(evaluate, max_batch=4, window_s=0.0)
+    mb = MicroBatcher(evaluate, max_batch=4)
     futs = [mb.submit(i) for i in range(3)]
     assert [f.result(timeout=30) for f in futs] == [0, 2, 4]
     bad = mb.submit("boom")
@@ -254,28 +315,45 @@ def test_batcher_caps_and_propagates_failures():
     assert mb.submitted == 5
 
 
-def test_batcher_window_gathers_company():
+def _held_batcher(max_batch):
+    """A batcher whose first evaluation blocks until the test releases it."""
     order = []
+    release = threading.Event()
+    holding = threading.Event()
 
     def evaluate(items):
         order.append(list(items))
+        if len(order) == 1:
+            holding.set()
+            assert release.wait(30)
         return items
 
-    mb = MicroBatcher(evaluate, max_batch=64, window_s=0.2)
+    return MicroBatcher(evaluate, max_batch=max_batch), order, release, holding
+
+
+@pytest.mark.parametrize(
+    "max_batch, batches", [(64, [8]), (4, [4, 4])], ids=["one-batch", "max-batch-4"]
+)
+def test_batcher_group_commits_held_arrivals(max_batch, batches):
+    """Group commit: what queues during one evaluation is the next batch."""
+    mb, order, release, holding = _held_batcher(max_batch)
+    first = mb.submit("hold")
+    assert holding.wait(30)
     futs = [mb.submit(i) for i in range(8)]
-    for f in futs:
-        f.result(timeout=30)
+    release.set()
+    assert first.result(timeout=30) == "hold"
+    assert [f.result(timeout=30) for f in futs] == list(range(8))
     mb.close()
-    # all 8 landed within one 200ms window: far fewer batches than items
-    assert len(order) < 8
-    assert [i for batch in order for i in batch] == list(range(8))
+    assert order[0] == ["hold"]
+    assert [len(batch) for batch in order[1:]] == batches
+    assert [i for batch in order[1:] for i in batch] == list(range(8))
 
 
 def test_server_validates_constructor_args(setup):
     g, H = setup
     with pytest.raises(ValueError):
         OracleServer(g, H, pair_cache=-1).close()
-    srv = OracleServer(g, H, pair_cache=0, batch_window=0.0)
+    srv = OracleServer(g, H, pair_cache=0)
     srv.query(0, 1)
     srv.query(0, 1)
     assert srv.pairs.hits == 0  # tier 0 disabled
