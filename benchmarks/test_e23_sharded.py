@@ -2,14 +2,15 @@
 
 The sharded backend (docs/backends.md) distributes the dense relaxation
 round's segmented minimum over ``W`` shared-memory worker processes with
-a deterministic tree min-combine — bit-exact outputs, bit-identical
+a deterministic fixed-shard-order min-combine — bit-exact outputs, bit-identical
 charged costs, only wall-clock changes.  This experiment measures, on a
 ≥10⁵-arc workload:
 
 * **end-to-end dense SSSP** wall-clock, serial vs sharded for
   W ∈ {1, 2, 4}, asserting bit-exactness and charged-cost identity;
-* **per-round kernel** wall-clock (the isolated ``relax_segmin``), which
-  separates IPC + combine overhead from the Bellman–Ford scaffolding;
+* **per-round kernel** wall-clock (the isolated ``relax_segmin_batch`` on
+  a one-row block, the single-source round), which separates IPC +
+  combine overhead from the Bellman–Ford scaffolding;
 * **measured vs Brent-predicted scaling** — the charged (work, depth)
   give the model's ``T_p ≤ W/p + D`` curve; the JSON records predicted
   and measured speedups side by side so the gap (IPC, combine, memory
@@ -77,17 +78,17 @@ def _measure_sssp(g, backend):
 
 
 def _measure_kernel(g, backend):
-    """Best-of wall for `_KERNEL_ROUNDS` isolated relax_segmin rounds."""
+    """Best-of wall for `_KERNEL_ROUNDS` isolated one-row rounds."""
     tails, heads, w = g.arcs()
     plan = P.build_relax_plan(tails, heads, w, n_cells=g.n)
     rng = np.random.default_rng(2302)
-    dist = rng.uniform(0.0, 50.0, size=g.n)
+    row = rng.uniform(0.0, 50.0, size=(1, g.n))
     ws = Workspace(poison=False)
 
     def run():
         out = None
         for _ in range(_KERNEL_ROUNDS):
-            out = backend.relax_segmin(plan, dist, ws.take)
+            out = backend.relax_segmin_batch(plan, row, ws.take)
         return out
     out, wall = _best_of(run)
     return out, wall, plan
@@ -227,7 +228,7 @@ def test_e23_table(benchmark):
     g = _graph()
     tails, heads, w = g.arcs()
     plan = P.build_relax_plan(tails, heads, w, n_cells=g.n)
-    dist = np.random.default_rng(2303).uniform(0.0, 50.0, size=g.n)
+    row = np.random.default_rng(2303).uniform(0.0, 50.0, size=(1, g.n))
     ws = Workspace(poison=False)
     serial = SerialBackend()
-    benchmark(lambda: serial.relax_segmin(plan, dist, ws.take))
+    benchmark(lambda: serial.relax_segmin_batch(plan, row, ws.take))

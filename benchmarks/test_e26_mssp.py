@@ -6,18 +6,17 @@ round, instead of S independent arc scans.  This experiment measures
 the two numbers the engine's default exists to justify:
 
 * **Loop-vs-batch crossover.**  ``approximate_mssd`` wall-clock with
-  ``block=0`` (the per-source loop) against ``block=S`` for
+  ``block=1`` (one source per pass: the per-source loop, with the solo
+  dense run's per-row charges) against ``block=S`` for
   S ∈ {1, 2, 4, 8, 16, 32}; the *crossover* is the smallest S at which
   the matrix wins.  Each timed pair also re-checks bit-exactness —
   a speedup is never quoted off a wrong matrix.
 
 * **Serving QPS delta.**  An :class:`OracleServer` with the matrix
-  grouped pre-explore (``mssp_block`` default) against one forced to
-  the per-source loop (``mssp_block`` never engages when the batch has
-  one distinct source — the looped server uses ``REPRO_MSSP``-style
-  width 1 so every micro-batch explores source-by-source).  Cold QPS is
-  where grouping pays (each micro-batch's distinct uncached sources
-  become one S×V pass); warm QPS should be unchanged (caches answer).
+  grouped pre-explore (``mssp_block`` default) against one at width 1,
+  so every micro-batch explores source-by-source.  Cold QPS is where
+  grouping pays (each micro-batch's distinct uncached sources become one
+  S×V pass); warm QPS should be unchanged (caches answer).
 
 Wall figures feed the perf ledger via ``record_obs``; correctness
 columns are the acceptance criteria.
@@ -40,6 +39,7 @@ from repro.hopsets.params import HopsetParams
 from repro.pram.machine import PRAM
 from repro.serve import OracleServer
 from repro.serve.protocol import format_dist, format_path
+from repro.sssp.mssp import DEFAULT_MSSP_BLOCK
 from repro.sssp.multi_source import approximate_mssd
 from repro.sssp.oracle import HopsetDistanceOracle, tree_path
 
@@ -80,7 +80,7 @@ def crossover_sweep():
     all_exact = True
     for s in _WIDTHS:
         sources = rng.choice(g.n, size=s, replace=False)
-        loop_wall, loop = _mssd_wall(g, H, sources, block=0)
+        loop_wall, loop = _mssd_wall(g, H, sources, block=1)
         batch_wall, batch = _mssd_wall(g, H, sources, block=s)
         exact = np.array_equal(loop.dist, batch.dist) and np.array_equal(
             loop.parent, batch.parent
@@ -154,7 +154,7 @@ def serve_sweep():
     expected = _reference()
     modes = {}
     rows = []
-    for mode, block in (("looped", 1), ("matrix", None)):
+    for mode, block in (("looped", 1), ("matrix", DEFAULT_MSSP_BLOCK)):
         server = OracleServer(
             g, H, cache_size=g.n, mssp_block=block
         )

@@ -10,8 +10,9 @@ alternates, and the script prints median walls:
 * the batched round (``relax_segmin_batch``) on the ``query-cold`` union
   (G ∪ H of ``erdos_renyi(1200, 0.01)``, ε = 0.25, β = 8) for S active
   rows, i.e. S × arcs candidates;
-* the solo round (``relax_segmin``) over ``erdos_renyi`` graphs of
-  growing arc counts.
+* the solo round — a one-row block through the same
+  ``relax_segmin_batch`` — over ``erdos_renyi`` graphs of growing arc
+  counts.
 
 Per table, the crossover is the smallest measured candidate count from
 which on the sharded median wins at every larger count too; the last
@@ -137,9 +138,9 @@ def main() -> int:
             graph = erdos_renyi(n, arcs / (n * (n - 1)), seed=arcs,
                                 w_range=(1.0, 4.0))
             p = ws.relax_plan(graph)
-            dist = rng.uniform(0.0, 50.0, graph.n)
-            solo[p.n_arcs] = (lambda side, p=p, d=dist:
-                              backends[side].relax_segmin(p, d, ws.take, cost))
+            row = rng.uniform(0.0, 50.0, (1, graph.n))
+            solo[p.n_arcs] = (lambda side, p=p, b=row:
+                              backends[side].relax_segmin_batch(p, b, ws.take, cost))
         med = interleaved(solo, sides, args.reps)
         print(f"\nsolo round, erdos_renyi(n={n}), median of {args.reps}:")
         print("| arcs | serial | sharded:2 | serial ÷ sharded |")

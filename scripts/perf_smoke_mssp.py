@@ -5,8 +5,8 @@ Two checks on an E4-scale workload (docs/mssp.md):
 
 * **Correctness hard-fail.**  ``approximate_mssd`` through the matrix
   engine (``block=S``) must produce the bit-identical distance/parent
-  matrices of the per-source loop (``block=0``), at every probed width.
-  Any divergence fails the job.
+  matrices of the per-source loop (``block=1``, one source per pass),
+  at every probed width.  Any divergence fails the job.
 
 * **Overhead budget.**  At width S=16 the matrix sweep must cost at most
   1.3× the loop's wall (on a quiet host it wins — BENCH_mssp.json
@@ -53,7 +53,7 @@ def main() -> int:
     ratio_at_16 = None
     for s in _WIDTHS:
         sources = rng.choice(g.n, size=s, replace=False)
-        loop_wall, loop = _sweep(g, H, sources, block=0)
+        loop_wall, loop = _sweep(g, H, sources, block=1)
         batch_wall, batch = _sweep(g, H, sources, block=s)
         if not (
             np.array_equal(loop.dist, batch.dist)

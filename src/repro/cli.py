@@ -125,6 +125,7 @@ from repro.pram.frontier import ENGINES
 from repro.pram.machine import PRAM
 from repro.serialize import load_graph, load_hopset, save_graph, save_hopset
 from repro.serve.server import OracleServer, serve_tcp
+from repro.sssp.mssp import DEFAULT_MSSP_BLOCK
 from repro.sssp.oracle import HopsetDistanceOracle
 from repro.sssp.spt import approximate_spt
 from repro.sssp.sssp import approximate_sssp_with_hopset
@@ -292,6 +293,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_oracle(args, pram: PRAM | None = None) -> int:
+    if args.mssp_block < 1:
+        print(f"--mssp-block must be >= 1, got {args.mssp_block}", file=sys.stderr)
+        return 2
     g = _read_graph(args.graph)
     hopset = load_hopset(args.hopset)
     budget = args.hops or (
@@ -389,6 +393,7 @@ def cmd_serve(args, pram: PRAM | None = None) -> int:
         ("--max-batch", args.max_batch, 1),
         ("--cache-size", args.cache_size, 1),
         ("--pair-cache", args.pair_cache, 0),
+        ("--mssp-block", args.mssp_block, 1),
     ):
         if value < least:
             print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
@@ -827,9 +832,9 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_mssp_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--mssp-block", type=int, default=None, metavar="S",
-        help="S×V matrix-engine row-block width for grouped explorations "
-             "(docs/mssp.md; 0 disables batching, default follows REPRO_MSSP)",
+        "--mssp-block", type=int, default=DEFAULT_MSSP_BLOCK, metavar="S",
+        help="S×V matrix-engine row-block width (S >= 1) for grouped "
+             f"explorations (docs/mssp.md; default {DEFAULT_MSSP_BLOCK})",
     )
 
 

@@ -268,11 +268,11 @@ def backend_health_report(
 ) -> str:
     """Sharded-backend health table from a registry's ``backend.*`` counters.
 
-    Summarizes rounds routed sharded vs serial (with the serial reason),
-    fallback events by reason, IPC/imbalance/combine-depth figures, and one
-    row per worker (rounds, arcs, wall split).  Returns ``""`` when the
-    registry saw no backend traffic at all — callers can print the result
-    unconditionally.
+    Summarizes relaxation and entry rounds routed sharded vs serial (with
+    the serial reason), fallback events by reason, IPC/imbalance/
+    combine-depth figures, and one row per worker (rounds, arcs, wall
+    split).  Returns ``""`` when the registry saw no backend traffic at
+    all — callers can print the result unconditionally.
     """
     counters = metrics.counters
 
@@ -287,6 +287,13 @@ def backend_health_report(
         n = val(f"backend.serial_round.{reason}")
         if n:
             rows.append([f"serial rounds ({reason})", n])
+    n = val("backend.entry_round", "calls")
+    if n:
+        rows.append(["sharded entry rounds", n])
+    for reason in ("min-rows", "fallback"):
+        n = val(f"backend.serial_entry.{reason}")
+        if n:
+            rows.append([f"serial entry rounds ({reason})", n])
     for name, c in sorted(counters.items()):
         prefix = "primitive.backend.fallback."
         if name.startswith(prefix) and name.endswith(".elements") and c.value:

@@ -3,7 +3,7 @@
 ``SerialBackend`` runs every kernel in-process (today's path, extracted
 behind the :class:`ExecutionBackend` interface); ``ShardedBackend`` runs
 dense relaxation rounds on a pool of shared-memory worker processes with
-a deterministic fixed-shard-order tree min-combine.  Both are bit-exact
+one deterministic fixed-shard-order min-combine.  Both are bit-exact
 and charge-identical — only wall-clock differs.  Select per machine with
 ``PRAM(backend=...)`` or globally with ``REPRO_BACKEND=serial|sharded[:W]``.
 """
@@ -15,9 +15,9 @@ from repro.pram.backends.base import (
     parse_backend_spec,
     resolve_backend,
     serial_gather_csr,
-    serial_segmin,
+    serial_segmin_batch,
 )
-from repro.pram.backends.sharded import ShardedBackend, shard_bounds, tree_min_combine
+from repro.pram.backends.sharded import ShardedBackend, shard_bounds, shard_min_combine
 
 __all__ = [
     "ExecutionBackend",
@@ -27,7 +27,7 @@ __all__ = [
     "parse_backend_spec",
     "resolve_backend",
     "serial_gather_csr",
-    "serial_segmin",
+    "serial_segmin_batch",
     "shard_bounds",
-    "tree_min_combine",
+    "shard_min_combine",
 ]

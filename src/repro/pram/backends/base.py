@@ -9,9 +9,10 @@ underlying NumPy kernels.  Two backends ship:
   :mod:`repro.pram.primitives` delegate to.
 * :class:`~repro.pram.backends.sharded.ShardedBackend` — a persistent
   pool of worker processes holding ``multiprocessing.shared_memory``
-  views of the graph's relaxation plan; each dense relaxation round runs
-  per-shard ``reduceat`` segment minima in the workers and a
-  fixed-shard-order tree min-combine in the parent (``docs/backends.md``).
+  views of the graph's relaxation plan; each dense relaxation round — a
+  block of distance rows, one row for a single source — runs per-shard
+  ``reduceat`` segment minima in the workers and one fixed-shard-order
+  min-combine in the parent (``docs/backends.md``).
 
 The backend contract is strict: **a backend may only change wall-clock.**
 The charged cost stream (labels, work, depth, write footprints) is
@@ -41,7 +42,6 @@ __all__ = [
     "resolve_backend",
     "backend_default",
     "serial_gather_csr",
-    "serial_segmin",
     "serial_segmin_batch",
     "serial_entry_segmin",
 ]
@@ -73,43 +73,6 @@ def serial_gather_csr(
     return slots, arcs
 
 
-def serial_segmin(
-    dist: np.ndarray,
-    tails_s: np.ndarray,
-    weights_s: np.ndarray,
-    seg_start: np.ndarray,
-    seg_id: np.ndarray,
-    take,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-head-segment (min candidate, min achieving tail) — in process.
-
-    The numeric core of the fused dense relaxation: candidates
-    ``dist[tails_s] + weights_s``, one ``minimum.reduceat`` per head
-    segment for the winning value, and a second masked ``reduceat`` for
-    the deterministic payload (the minimum tail among value-achieving
-    arcs).  Scratch arrays come from ``take(name, size, dtype)``.
-    Returns ``(cand, segmin, winpay, achieving)`` — the per-arc arrays are
-    what the write-footprint declarations of ``prelax_arcs`` consume.
-    """
-    n = int(tails_s.size)
-    k = int(seg_start.size)
-    cand = take("relax.cand", n, np.float64)
-    dist.take(tails_s, out=cand)
-    cand += weights_s
-    segmin = take("relax.segmin", k, np.float64)
-    np.minimum.reduceat(cand, seg_start, out=segmin)
-    minrep = take("relax.minrep", n, np.float64)
-    segmin.take(seg_id, out=minrep)
-    achieving = take("relax.achieving", n, bool)
-    np.equal(cand, minrep, out=achieving)
-    maskpay = take("relax.maskpay", n, np.int64)
-    maskpay.fill(_INT64_MAX)
-    np.copyto(maskpay, tails_s, where=achieving)
-    winpay = take("relax.winpay", k, np.int64)
-    np.minimum.reduceat(maskpay, seg_start, out=winpay)
-    return cand, segmin, winpay, achieving
-
-
 def serial_segmin_batch(
     dist_block: np.ndarray,
     tails_s: np.ndarray,
@@ -117,37 +80,41 @@ def serial_segmin_batch(
     seg_start: np.ndarray,
     seg_id: np.ndarray,
     take,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-batched :func:`serial_segmin`: S sources in one rectangular pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-head-segment (min candidate, min achieving tail) of a row block.
 
-    ``dist_block`` is the (A, n) active-row slice of the S×V distance
-    matrix; the candidate gather, both ``reduceat`` reductions, and the
-    achieving-tail payload all run along ``axis=1`` so every active source
-    advances in the same kernel launch.  Row ``r`` of the returned
-    ``(segmin, winpay)`` pair is bit-identical to ``serial_segmin`` on
-    ``dist_block[r]`` alone — same candidates, same ties, same minimum
-    achieving tail — which is what lets the matrix engine replay the
-    per-source charge stream unchanged.  Scratch comes from
+    The numeric core of every dense relaxation round, in process.
+    ``dist_block`` is an (A, n) block of distance rows — the active rows
+    of the S×V matrix, or one row for a single-source round.  Per row:
+    candidates ``dist[tails_s] + weights_s``, one ``minimum.reduceat`` per
+    head segment for the winning value, and a second masked ``reduceat``
+    for the deterministic payload (the minimum tail among value-achieving
+    arcs).  Every step runs along ``axis=1``, so each row's result is
+    independent of the others — which is what lets the matrix engine
+    replay the per-source charge stream unchanged.  Scratch comes from
     ``take(name, size, dtype)`` (flat pooled views, reshaped here).
+    Returns ``(cand, segmin, winpay, achieving)``: the (A, n_cells)
+    results plus the (A, n_arcs) candidate and achiever arrays that the
+    write-footprint declarations of ``prelax_arcs`` consume.
     """
     rows = int(dist_block.shape[0])
     n = int(tails_s.size)
     k = int(seg_start.size)
-    cand = take("relaxb.cand", rows * n, np.float64).reshape(rows, n)
+    cand = take("relax.cand", rows * n, np.float64).reshape(rows, n)
     np.take(dist_block, tails_s, axis=1, out=cand)
     cand += weights_s
-    segmin = take("relaxb.segmin", rows * k, np.float64).reshape(rows, k)
+    segmin = take("relax.segmin", rows * k, np.float64).reshape(rows, k)
     np.minimum.reduceat(cand, seg_start, axis=1, out=segmin)
-    minrep = take("relaxb.minrep", rows * n, np.float64).reshape(rows, n)
+    minrep = take("relax.minrep", rows * n, np.float64).reshape(rows, n)
     segmin.take(seg_id, axis=1, out=minrep)
-    achieving = take("relaxb.achieving", rows * n, bool).reshape(rows, n)
+    achieving = take("relax.achieving", rows * n, bool).reshape(rows, n)
     np.equal(cand, minrep, out=achieving)
-    maskpay = take("relaxb.maskpay", rows * n, np.int64).reshape(rows, n)
+    maskpay = take("relax.maskpay", rows * n, np.int64).reshape(rows, n)
     maskpay.fill(_INT64_MAX)
     np.copyto(maskpay, tails_s, where=achieving)
-    winpay = take("relaxb.winpay", rows * k, np.int64).reshape(rows, k)
+    winpay = take("relax.winpay", rows * k, np.int64).reshape(rows, k)
     np.minimum.reduceat(maskpay, seg_start, axis=1, out=winpay)
-    return segmin, winpay
+    return cand, segmin, winpay, achieving
 
 
 def serial_entry_segmin(
@@ -208,10 +175,11 @@ class ExecutionBackend:
     """Where the numeric kernels of the simulated machine execute.
 
     The base class *is* the serial semantics: subclasses may override
-    :meth:`relax_segmin` / :meth:`gather_csr` with a faster execution of
-    the same math, but must return bit-identical arrays.  Backends never
-    charge the cost model — the ``cost`` handle they receive is for
-    observability traffic only (worker wall times, shard sizes).
+    :meth:`relax_segmin_batch` / :meth:`entry_segmin` with a faster
+    execution of the same math, but must return bit-identical arrays.
+    Backends never charge the cost model — the ``cost`` handle they
+    receive is for observability traffic only (worker wall times, shard
+    sizes).
     """
 
     #: Human-readable backend kind (``"serial"`` / ``"sharded"``).
@@ -219,39 +187,22 @@ class ExecutionBackend:
     #: Host workers the backend executes on (1 for in-process).
     workers = 1
 
-    def gather_csr(
-        self, indptr: np.ndarray, frontier: np.ndarray, deg_all: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened CSR out-arc gather of a non-empty frontier."""
-        return serial_gather_csr(indptr, frontier, deg_all)
-
-    def relax_segmin(
-        self, plan, dist: np.ndarray, take, cost=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-segment ``(segmin, winpay)`` of one dense relaxation round.
-
-        ``plan`` is a :class:`~repro.pram.primitives.RelaxPlan`; the
-        returned arrays have one entry per ``plan.cells`` segment.
-        """
-        _, segmin, winpay, _ = serial_segmin(
-            dist, plan.tails_s, plan.weights_s, plan.seg_start, plan.seg_id, take
-        )
-        return segmin, winpay
-
     def relax_segmin_batch(
         self, plan, dist_block: np.ndarray, take, cost=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-batched :meth:`relax_segmin`: one round for A active sources.
+        """Per-segment ``(segmin, winpay)`` of one dense relaxation round.
 
-        ``dist_block`` is the (A, n) active-row slice of the S×V distance
-        matrix; returns ``(segmin, winpay)`` of shape (A, n_cells).  Row
-        ``r`` must be bit-identical to ``relax_segmin`` on ``dist_block[r]``
-        alone — the matrix engine relies on that to keep the per-source
-        charge stream equal to A independent runs.
+        ``plan`` is a :class:`~repro.pram.primitives.RelaxPlan` and
+        ``dist_block`` an (A, n) block of distance rows — a single-source
+        round passes a block of one row.  Returns (A, n_cells) arrays, one
+        entry per ``plan.cells`` segment; row ``r`` depends on
+        ``dist_block[r]`` alone, which keeps each row's charge stream
+        equal to an independent run.
         """
-        return serial_segmin_batch(
+        _, segmin, winpay, _ = serial_segmin_batch(
             dist_block, plan.tails_s, plan.weights_s, plan.seg_start, plan.seg_id, take
         )
+        return segmin, winpay
 
     def entry_segmin(
         self,

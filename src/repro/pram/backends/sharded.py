@@ -5,29 +5,37 @@ candidate ``dist[tail] + w`` and the minimum value-achieving tail — is a
 flat ``reduceat`` over the arc array, which the GIL pins to one core.
 This backend distributes it over a persistent pool of **worker
 processes** in the partition-then-combine style of the distributed
-SSSP lines of work (Cao–Fineman–Russell, Forster–Nanongkai):
+SSSP lines of work (Cao–Fineman–Russell, Forster–Nanongkai).  Every
+round is a *row block*: the active rows of the S×V matrix engine, or a
+block of one row for a single-source round.
 
 * **Shared-memory plan registration.**  On first use of a
   :class:`~repro.pram.primitives.RelaxPlan`, the head-sorted arc arrays
-  (``tails_s``, ``weights_s``) and a ``dist`` mirror are placed in
+  (``tails_s``, ``weights_s``) are placed in
   ``multiprocessing.shared_memory`` blocks; the arc array is cut into
   ``W`` contiguous, arc-balanced shards, and each worker attaches the
   blocks once and keeps per-shard segment layout (local ``reduceat``
-  offsets) for the plan's lifetime.  Per round, the parent only refreshes
-  the shared ``dist`` mirror and posts one message per worker.
+  offsets) for the plan's lifetime.  A (rows × cells) distance block and
+  its (rows × shard-cells) output blocks are grown geometrically on
+  demand.  Per round, the parent copies the row block into shared memory
+  and posts one ``round`` message per worker.
 
 * **Per-shard segmin in the workers.**  Each worker runs the same two
   ``minimum.reduceat`` passes the serial kernel runs, over its arc range
-  only, writing its partial ``(segmin, winpay)`` into its own slice of a
-  shared output block (exclusive writes — the sharding is itself CREW).
+  and every row of the block, writing its partial ``(segmin, winpay)``
+  into its own column slice of the shared output block (exclusive writes
+  — the sharding is itself CREW).
 
-* **Deterministic fixed-shard-order tree min-combine.**  A head segment
-  that straddles a shard boundary has partial minima in two shards; the
-  parent merges the shard results pairwise in fixed shard order (an
-  all-reduce in miniature).  The combine rule per overlapping cell is
-  ``(min value, min tail among value-achievers)`` — associative and
-  exact over float64/int64, so the result is **bit-equal** to the serial
-  kernel for any shard count.  See ``docs/backends.md`` for the argument.
+* **One deterministic fixed-shard-order combine.**  A head segment that
+  straddles a shard boundary has partial minima in two shards; the
+  parent merges the shard results in fixed shard order with
+  :func:`shard_min_combine`, once per round over the whole row block.
+  The rule per straddling cell is the lexicographic minimum of
+  ``(value, *keys)`` — for relaxation partials ``(min value, min tail
+  among value-achievers)``, for entry partials the staged tie keys.  It
+  is exact and associative over float64/int64, so the result is
+  **bit-equal** to the serial kernel for any shard count.  See
+  ``docs/backends.md`` for the argument.
 
 The charged cost stream is untouched: `prelax_arcs` charges work/depth/
 traffic/footprints identically for every backend — only wall-clock
@@ -45,21 +53,22 @@ subsequent round runs the serial kernel — same answers, serial
 wall-clock.  The fault-injection test kills a worker mid-run and
 asserts the final distances are still bit-correct.
 
-Observability: each sharded round reports ``backend.round`` (arcs),
-``backend.shard`` (per-shard arc counts — the metrics registry's size
+Observability: each sharded relaxation round reports ``backend.round``
+(candidates: rows × arcs), ``backend.batch_rows`` (rows in the block),
+``backend.shard`` (per-shard candidates — the metrics registry's size
 histogram records the shard balance), ``backend.worker_wall_ns``
 (per-worker compute nanoseconds, measured inside the worker), and
 ``backend.combine`` (cells combined, bytes moved) traffic events.
 
-**Cross-process worker telemetry** (``REPRO_WORKER_STATS``, default on):
-each worker additionally writes a per-round stats row — shard arcs plus
-its wall nanoseconds split into *gather* (candidate gather + add),
-*segmin* (the value ``reduceat``), and *serialize* (payload masking +
-writing results into the shared output block) — into a preallocated
-``multiprocessing.shared_memory`` stats block, one row per worker, no
-IPC beyond the existing round ack.  After every sharded round the parent
-merges the rows **in fixed shard order** into whatever cost-model
-subscribers are attached (``SpanTracer`` / ``MetricsRegistry``) as
+**Cross-process worker telemetry**: each worker also writes a per-round
+stats row — shard candidates plus its wall nanoseconds split into
+*gather* (candidate gather + add), *segmin* (the value ``reduceat``),
+and *serialize* (payload masking + writing results into the shared
+output block) — into a preallocated ``multiprocessing.shared_memory``
+stats block, one row per worker, no IPC beyond the existing round ack.
+While cost-model subscribers are attached (``SpanTracer`` /
+``MetricsRegistry``), the parent merges the rows after every sharded
+round **in fixed shard order** into them as
 ``backend.worker.<i>.{wall_ns,gather_ns,segmin_ns,serialize_ns,arcs}``
 traffic, plus derived health metrics:
 
@@ -69,21 +78,23 @@ traffic, plus derived health metrics:
   imbalance ratio; mean over rounds = elements / calls);
 * ``backend.ipc_ns``           — round wall minus the slowest worker's
   compute (the IPC + combine overhead share);
-* ``backend.combine_depth``    — ⌈log₂ shards⌉ of the combine tree;
+* ``backend.combine_depth``    — ⌈log₂ shards⌉, the depth of the combine
+  as an all-reduce;
 * ``backend.timeout_near_miss`` — rounds that consumed more than 80 % of
   ``round_timeout`` without tripping it.
 
 The parent also keeps a bounded :attr:`ShardedBackend.round_log` (one
 entry per telemetered round, with the parent-clock start timestamp) that
 the Chrome-trace exporter renders as one lane per worker — see
-:func:`repro.obs.export.chrome_trace_events`.  Telemetry is only
-collected while a subscriber is attached and never touches the numeric
-path: outputs and charged costs are bit-identical with stats enabled or
-disabled.  Serial degradations carry a structured reason:
+:func:`repro.obs.export.chrome_trace_events`.  The merge never touches
+the numeric path: outputs and charged costs are bit-identical with or
+without subscribers.  Serial degradations carry a structured reason:
 ``backend.fallback.<reason>`` with ``reason`` ∈ {``worker-death``,
 ``timeout``, ``registration``, ``pool-start``}, and per-round serial
 routing reports ``backend.serial_round.<reason>`` with ``reason`` ∈
-{``min-arcs``, ``fallback``}.
+{``min-arcs``, ``fallback``}.  Entry rounds (the hopset-build prune and
+aggregate) report ``backend.entry_round`` / ``backend.entry_shard`` when
+sharded and ``backend.serial_entry.<reason>`` when not.
 """
 
 from __future__ import annotations
@@ -95,14 +106,13 @@ import time
 
 import numpy as np
 
-from repro.pram.backends.base import ExecutionBackend, serial_segmin
+from repro.pram.backends.base import ExecutionBackend, serial_entry_segmin
 from repro.pram.errors import InvalidStepError
 
 __all__ = [
     "ShardedBackend",
     "shard_bounds",
-    "tree_min_combine",
-    "entry_tree_combine",
+    "shard_min_combine",
 ]
 
 log = logging.getLogger("repro.backends")
@@ -111,9 +121,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 #: Rounds with fewer candidates (arcs × active rows) than this run
 #: in-process: the smallest count at which ``sharded:2`` beat the
-#: in-process round on a 2-vCPU Xeon (py3.11.7, numpy 2.4.6), measured
-#: with ``scripts/measure_crossover.py`` (table in ``docs/backends.md``).
-DEFAULT_MIN_ARCS = 132_610
+#: in-process round on a 2-vCPU AMD EPYC (py3.11.7, numpy 2.4.6), median
+#: of three ``scripts/measure_crossover.py`` runs (``docs/backends.md``).
+DEFAULT_MIN_ARCS = 231_072
 
 #: Entry-segmin rounds with fewer rows than this run in-process.  Entry
 #: rows are transient (fresh grouping every call, nothing to register in
@@ -126,7 +136,7 @@ DEFAULT_MIN_ENTRY_ROWS = 65536
 DEFAULT_ROUND_TIMEOUT = 30.0
 
 #: Fields of one worker's shared-memory stats row (all int64):
-#: round id, shard arcs, gather ns, segmin ns, serialize ns, total ns.
+#: round id, shard candidates, gather ns, segmin ns, serialize ns, total ns.
 STATS_FIELDS = 6
 
 #: Rounds recorded in :attr:`ShardedBackend.round_log` before dropping
@@ -135,13 +145,6 @@ ROUND_LOG_CAP = 16384
 
 #: Fraction of ``round_timeout`` past which a round counts as a near-miss.
 NEAR_MISS_FRACTION = 0.8
-
-
-def worker_stats_enabled() -> bool:
-    """Whether workers collect the per-round stats rows (``REPRO_WORKER_STATS``)."""
-    return os.environ.get("REPRO_WORKER_STATS", "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 def shard_bounds(n_arcs: int, shards: int) -> list[tuple[int, int]]:
@@ -153,143 +156,88 @@ def shard_bounds(n_arcs: int, shards: int) -> list[tuple[int, int]]:
     return [(cuts[i], cuts[i + 1]) for i in range(shards) if cuts[i] < cuts[i + 1]]
 
 
-def _merge(a, b):
-    """Combine two adjacent shard results (contiguous global segment runs).
+def _shard_layout(seg_start, n: int, shards: int):
+    """Per shard of ``[0, n)``: ``(lo, hi, seg_lo, local_starts)``.
 
-    Each operand is ``(seg_lo, segmin, winpay)``; ``b`` starts either at
-    ``a``'s end (disjoint) or one segment earlier (the boundary segment
-    straddles the arc cut).  The straddling cell combines as
-    ``(min value, min tail among achievers)`` — exact and associative.
+    ``seg_lo`` is the first global segment the shard touches and
+    ``local_starts`` its shard-local ``reduceat`` offsets (a segment cut
+    by the shard's left edge starts at 0).
     """
-    a_lo, a_mn, a_py = a
-    b_lo, b_mn, b_py = b
-    a_hi = a_lo + a_mn.size
-    if b_lo == a_hi:  # no straddling segment
-        return a_lo, np.concatenate((a_mn, b_mn)), np.concatenate((a_py, b_py))
-    if b_lo != a_hi - 1:
-        raise InvalidStepError(
-            f"non-adjacent shard results: [{a_lo},{a_hi}) then {b_lo}"
-        )
-    av = a_mn[-1]
-    bv = b_mn[0]
-    if bv < av:
-        v, p = bv, b_py[0]
-    elif av < bv:
-        v, p = av, a_py[-1]
-    else:
-        v, p = av, min(int(a_py[-1]), int(b_py[0]))
-    mn = np.concatenate((a_mn[:-1], np.array([v], dtype=a_mn.dtype), b_mn[1:]))
-    py = np.concatenate((a_py[:-1], np.array([p], dtype=a_py.dtype), b_py[1:]))
-    return a_lo, mn, py
+    layout = []
+    for lo, hi in shard_bounds(n, shards):
+        seg_lo = int(np.searchsorted(seg_start, lo, side="right")) - 1
+        seg_hi = int(np.searchsorted(seg_start, hi, side="left"))
+        local_starts = np.maximum(seg_start[seg_lo:seg_hi], lo) - lo
+        layout.append((lo, hi, seg_lo, local_starts.astype(np.int64)))
+    return layout
 
 
-def tree_min_combine(parts):
-    """Fixed-shard-order binary-tree combine of per-shard partial results.
+def shard_min_combine(parts):
+    """Fixed-shard-order combine of per-shard partial minima.
 
-    ``parts`` is the ascending shard-order list of ``(seg_lo, segmin,
-    winpay)`` partials; returns the combined ``(seg_lo, segmin, winpay)``
-    covering the union.  The tree mirrors a ``ceil(log2 W)``-round
-    all-reduce; because the per-cell rule is associative and exact, any
-    combine order gives bit-identical output — the fixed order keeps the
-    execution canonical anyway.
+    ``parts`` is the ascending shard-order list of ``(seg_lo, value,
+    keys)`` partials over contiguous runs of global segments: ``value``
+    holds one float per segment along its last axis (leading axes are
+    rows), and ``keys`` is a tuple of same-shaped int arrays — the
+    payload of a relaxation partial, the tie keys of an entry partial.
+    Each part starts where the previous one ends, or one segment earlier
+    when that segment straddles the shard cut; the straddling cell keeps
+    the lexicographically smaller ``(value, *keys)`` tuple, the earlier
+    shard's on a full tie.  Each partial cell is already the lexicographic
+    minimum over its shard's slice, so the result is the segment's global
+    minimum — exact and associative, hence bit-equal to the in-process
+    kernel for any shard count, in every row of the block at once.
+
+    Returns ``(seg_lo, value, keys)`` covering the union, as fresh arrays
+    (never views of the inputs, which may live in shared memory).
     """
     if not parts:
-        raise InvalidStepError("tree_min_combine: no shard results")
-    if len(parts) == 1:
-        lo, mn, py = parts[0]
-        return lo, mn.copy(), py.copy()  # never hand out shared-memory views
-    level = list(parts)
-    while len(level) > 1:
-        nxt = [
-            _merge(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)
-        ]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
-def _entry_merge(a, b):
-    """Combine two adjacent shard entry-partials (contiguous segment runs).
-
-    Operands are ``(seg_lo, gmin_d, mins)`` with one ``mins`` array per
-    tie key; ``b`` starts either at ``a``'s end (disjoint) or one segment
-    earlier (the boundary segment's rows straddle the shard cut), in
-    which case the straddling cell keeps the lexicographically smaller
-    ``(dist, *keys)`` tuple.  Each operand's cell is itself the
-    lexicographic minimum of that shard's rows, so the result is the
-    segment's global minimum — exact and associative.
-    """
-    a_lo, a_d, a_k = a
-    b_lo, b_d, b_k = b
-    a_hi = a_lo + a_d.size
-    if b_lo == a_hi:  # no straddling segment
-        return (
-            a_lo,
-            np.concatenate((a_d, b_d)),
-            tuple(np.concatenate((x, y)) for x, y in zip(a_k, b_k)),
-        )
-    if b_lo != a_hi - 1:
-        raise InvalidStepError(
-            f"non-adjacent entry shard results: [{a_lo},{a_hi}) then {b_lo}"
-        )
-    va = (float(a_d[-1]), *(int(x[-1]) for x in a_k))
-    vb = (float(b_d[0]), *(int(y[0]) for y in b_k))
-    win = va if va <= vb else vb  # ties keep a's cell, like the serial stages
-    return (
-        a_lo,
-        np.concatenate((a_d[:-1], np.array(win[:1], dtype=a_d.dtype), b_d[1:])),
-        tuple(
-            np.concatenate((x[:-1], np.array([w], dtype=x.dtype), y[1:]))
-            for x, y, w in zip(a_k, b_k, win[1:])
-        ),
-    )
-
-
-def entry_tree_combine(parts):
-    """Fixed-shard-order tree combine of per-shard entry-segmin partials.
-
-    ``parts`` is the ascending shard-order list of ``(seg_lo, gmin_d,
-    mins)`` partials; returns the combined triple covering the union.
-    Bit-equal to the serial staged reduction for any shard count because
-    the per-cell rule is the associative lexicographic minimum.
-    """
-    if not parts:
-        raise InvalidStepError("entry_tree_combine: no shard results")
-    if len(parts) == 1:
-        lo, gd, mins = parts[0]
-        return lo, gd.copy(), tuple(m.copy() for m in mins)
-    level = list(parts)
-    while len(level) > 1:
-        nxt = [
-            _entry_merge(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)
-        ]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+        raise InvalidStepError("shard_min_combine: no shard results")
+    lo0, v0, k0 = parts[0]
+    hi = lo0
+    for lo, v, _ in parts:
+        if lo != hi and lo != hi - 1:
+            raise InvalidStepError(
+                f"non-adjacent shard results: [{lo0},{hi}) then {lo}"
+            )
+        hi = lo + v.shape[-1]
+    value = np.empty(v0.shape[:-1] + (hi - lo0,), dtype=v0.dtype)
+    keys = tuple(np.empty(value.shape, dtype=k.dtype) for k in k0)
+    end = 0  # columns of the output written so far
+    for lo, v, ks in parts:
+        at = lo - lo0
+        if at < end:  # the straddling cell: lexicographic min, in every row
+            cur, new = value[..., at], v[..., 0]
+            take = new < cur
+            tie = new == cur
+            for out, k in zip(keys, ks):
+                take = take | (tie & (k[..., 0] < out[..., at]))
+                tie = tie & (k[..., 0] == out[..., at])
+            value[..., at] = np.where(take, new, cur)
+            for out, k in zip(keys, ks):
+                out[..., at] = np.where(take, k[..., 0], out[..., at])
+            v, ks, at = v[..., 1:], tuple(k[..., 1:] for k in ks), at + 1
+        end = at + v.shape[-1]
+        value[..., at:end] = v
+        for out, k in zip(keys, ks):
+            out[..., at:end] = k
+    return lo0, value, keys
 
 
 def _entry_partial(dist, keys, local_starts):
     """One shard's staged entry minima (the worker-side compute).
 
-    Mirrors :func:`repro.pram.backends.base.serial_entry_segmin` on a row
-    slice: per local segment the min ``dist``, then per tie key the min
-    among rows achieving every earlier stage.  The achieving masks use
-    the *local* minima, so each cell is the lexicographic min of the
-    shard's rows — exactly what :func:`entry_tree_combine` needs.
+    :func:`~repro.pram.backends.base.serial_entry_segmin` on a row slice,
+    with segments given by the shard-local ``reduceat`` offsets: each cell
+    is the lexicographic min of the shard's rows — exactly what
+    :func:`shard_min_combine` needs.
     """
     seg_len = np.diff(np.concatenate((local_starts, [dist.size])))
     seg_id = np.repeat(np.arange(local_starts.size, dtype=np.int64), seg_len)
-    gmin_d = np.minimum.reduceat(dist, local_starts)
-    achieving = dist == gmin_d.take(seg_id)
-    mins = []
-    for i, key in enumerate(keys):
-        if i:
-            achieving &= keys[i - 1] == mins[-1].take(seg_id)
-        masked = np.where(achieving, key, _INT64_MAX)
-        mins.append(np.minimum.reduceat(masked, local_starts))
-    return gmin_d, tuple(mins)
+    return serial_entry_segmin(
+        dist, keys, local_starts, seg_id,
+        lambda name, size, dtype: np.empty(size, dtype=dtype),
+    )
 
 
 def _attach_shm(name: str):
@@ -309,10 +257,9 @@ class _WorkerShard:
     """Worker-side state for one registered plan shard."""
 
     def __init__(self, spec: dict) -> None:
-        self.shms = [_attach_shm(spec[k]) for k in ("tails", "weights", "dist")]
+        self.shms = [_attach_shm(spec[k]) for k in ("tails", "weights")]
         tails = np.ndarray(spec["n_arcs"], dtype=np.int64, buffer=self.shms[0].buf)
         weights = np.ndarray(spec["n_arcs"], dtype=np.float64, buffer=self.shms[1].buf)
-        self.dist = np.ndarray(spec["n_cells"], dtype=np.float64, buffer=self.shms[2].buf)
         lo, hi = spec["lo"], spec["hi"]
         self.tails = tails[lo:hi]
         self.weights = weights[lo:hi]
@@ -321,52 +268,22 @@ class _WorkerShard:
         self.local_seg_id = np.repeat(
             np.arange(self.local_starts.size, dtype=np.int64), seg_len
         )
-        out_shm = _attach_shm(spec["segmin"])
-        pay_shm = _attach_shm(spec["winpay"])
-        self.shms += [out_shm, pay_shm]
-        k = int(self.local_starts.size)
-        off = spec["out_off"]
-        self.segmin_out = np.ndarray(
-            spec["out_total"], dtype=np.float64, buffer=out_shm.buf
-        )[off:off + k]
-        self.winpay_out = np.ndarray(
-            spec["out_total"], dtype=np.int64, buffer=pay_shm.buf
-        )[off:off + k]
-        self.k = k
-        self.out_off = int(off)
+        self.k = int(self.local_starts.size)
+        self.out_off = int(spec["out_off"])
         self.out_total = int(spec["out_total"])
         self.n_cells = int(spec["n_cells"])
         self.b_shms: list = []
         self.b_dist = self.b_segmin = self.b_winpay = None
 
-    def compute(self) -> tuple[int, int, int]:
-        """One round; returns ``(gather_ns, segmin_ns, serialize_ns)``.
+    def attach(self, spec: dict) -> None:
+        """Attach (or re-attach, after row-capacity growth) the row block.
 
-        The telemetry split: *gather* is the candidate gather + add,
-        *segmin* the value ``reduceat``, *serialize* the payload masking
-        pass that writes the results into the shared output block.
+        The round's shared memory is one (rows_cap × n_cells) dist block
+        plus (rows_cap × out_total) output blocks shared by every shard of
+        the plan — each worker writes only its own column slice of each
+        row, so the sharding stays exclusive-write per row.
         """
-        t0 = time.perf_counter_ns()
-        cand = self.dist.take(self.tails)
-        cand += self.weights
-        t1 = time.perf_counter_ns()
-        np.minimum.reduceat(cand, self.local_starts, out=self.segmin_out)
-        t2 = time.perf_counter_ns()
-        minrep = self.segmin_out.take(self.local_seg_id)
-        maskpay = np.where(cand == minrep, self.tails, _INT64_MAX)
-        np.minimum.reduceat(maskpay, self.local_starts, out=self.winpay_out)
-        t3 = time.perf_counter_ns()
-        return t1 - t0, t2 - t1, t3 - t2
-
-    def battach(self, spec: dict) -> None:
-        """Attach (or re-attach, after row-capacity growth) the batch block.
-
-        The batched round's shared memory is one (rows_cap × n_cells) dist
-        block plus (rows_cap × out_total) output blocks shared by every
-        shard of the plan — each worker writes only its own column slice
-        of each row, so the sharding stays exclusive-write per row.
-        """
-        self.bclose()
+        self.close_block()
         shms = [_attach_shm(spec[k]) for k in ("dist", "segmin", "winpay")]
         rows_cap = int(spec["rows_cap"])
         self.b_shms = shms
@@ -380,9 +297,14 @@ class _WorkerShard:
             (rows_cap, self.out_total), dtype=np.int64, buffer=shms[2].buf
         )
 
-    def bcompute(self, rows: int) -> tuple[int, int, int]:
-        """One batched round over ``rows`` active sources; telemetry split
-        as in :meth:`compute`, measured over the whole row block."""
+    def compute(self, rows: int) -> tuple[int, int, int]:
+        """One round over ``rows`` active rows; returns ``(gather_ns,
+        segmin_ns, serialize_ns)``.
+
+        The telemetry split: *gather* is the candidate gather + add,
+        *segmin* the value ``reduceat``, *serialize* the payload masking
+        pass that writes the results into the shared output block.
+        """
         off, k = self.out_off, self.k
         t0 = time.perf_counter_ns()
         cand = np.take(self.b_dist[:rows], self.tails, axis=1)
@@ -400,7 +322,7 @@ class _WorkerShard:
         t3 = time.perf_counter_ns()
         return t1 - t0, t2 - t1, t3 - t2
 
-    def bclose(self) -> None:
+    def close_block(self) -> None:
         self.b_dist = self.b_segmin = self.b_winpay = None
         for shm in self.b_shms:
             try:
@@ -411,9 +333,8 @@ class _WorkerShard:
 
     def close(self) -> None:
         # drop array views before closing their backing shared memory
-        self.bclose()
-        self.tails = self.weights = self.dist = None
-        self.segmin_out = self.winpay_out = None
+        self.close_block()
+        self.tails = self.weights = None
         for shm in self.shms:
             try:
                 shm.close()
@@ -422,25 +343,24 @@ class _WorkerShard:
         self.shms = []
 
 
-def _worker_main(conn, stats_spec=None) -> None:  # pragma: no cover - subprocess
+def _worker_main(conn, stats_spec) -> None:  # pragma: no cover - subprocess
     """Worker loop: attach registered plans, compute rounds on request.
 
-    ``stats_spec`` (``{"name", "row", "workers"}`` or ``None``) names the
-    parent's shared-memory stats block and this worker's row in it; when
-    present, every round writes its telemetry row *before* sending the
-    ack, so the parent reads a consistent row after the ack arrives.
+    ``stats_spec`` (``{"name", "row", "workers"}``) names the parent's
+    shared-memory stats block and this worker's row in it; every round
+    writes its telemetry row *before* sending the ack, so the parent reads
+    a consistent row after the ack arrives.
     """
     shards: dict[int, _WorkerShard] = {}
     stats_shm = None
     stats_row = None
     try:
-        if stats_spec is not None:
-            stats_shm = _attach_shm(stats_spec["name"])
-            stats_row = np.ndarray(
-                (stats_spec["workers"], STATS_FIELDS),
-                dtype=np.int64,
-                buffer=stats_shm.buf,
-            )[stats_spec["row"]]
+        stats_shm = _attach_shm(stats_spec["name"])
+        stats_row = np.ndarray(
+            (stats_spec["workers"], STATS_FIELDS),
+            dtype=np.int64,
+            buffer=stats_shm.buf,
+        )[stats_spec["row"]]
         while True:
             msg = conn.recv()
             op = msg[0]
@@ -450,39 +370,26 @@ def _worker_main(conn, stats_spec=None) -> None:  # pragma: no cover - subproces
                 spec = msg[1]
                 shards[spec["key"]] = _WorkerShard(spec)
                 conn.send(("ok", spec["key"]))
-            elif op == "round":
-                _, key, rid = msg
-                shard = shards[key]
-                t0 = time.perf_counter_ns()
-                gather_ns, segmin_ns, serialize_ns = shard.compute()
-                total_ns = time.perf_counter_ns() - t0
-                if stats_row is not None:
-                    stats_row[:] = (
-                        rid, shard.tails.size,
-                        gather_ns, segmin_ns, serialize_ns, total_ns,
-                    )
-                conn.send(("done", rid, total_ns))
-            elif op == "battach":
+            elif op == "attach":
                 _, key, spec = msg
-                shards[key].battach(spec)
-                conn.send(("bok", key))
+                shards[key].attach(spec)
+                conn.send(("attached", key))
             elif op == "drop":
                 _, key = msg
                 shard = shards.pop(key, None)
                 if shard is not None:
                     shard.close()
                 conn.send(("dropped", key))
-            elif op == "bround":
+            elif op == "round":
                 _, key, rid, rows = msg
                 shard = shards[key]
                 t0 = time.perf_counter_ns()
-                gather_ns, segmin_ns, serialize_ns = shard.bcompute(rows)
+                gather_ns, segmin_ns, serialize_ns = shard.compute(rows)
                 total_ns = time.perf_counter_ns() - t0
-                if stats_row is not None:
-                    stats_row[:] = (
-                        rid, shard.tails.size * rows,
-                        gather_ns, segmin_ns, serialize_ns, total_ns,
-                    )
+                stats_row[:] = (
+                    rid, shard.tails.size * rows,
+                    gather_ns, segmin_ns, serialize_ns, total_ns,
+                )
                 conn.send(("done", rid, total_ns))
             elif op == "entry":
                 _, rid, payload = msg
@@ -528,33 +435,30 @@ class _ShardMeta:
 class _SharedPlan:
     """Parent-side shared-memory image of one registered RelaxPlan."""
 
-    def __init__(self, key, plan, shms, dist_view, segmin_all, winpay_all, shards):
+    def __init__(self, key, plan, shms, out_total, shards):
         self.key = key
         self.plan = plan  # keeps the plan (and its graph) alive
         self.shms = shms
-        self.dist_view = dist_view
-        self.segmin_all = segmin_all
-        self.winpay_all = winpay_all
+        self.out_total = out_total  # output cells over all shards
         self.shards = shards  # list[_ShardMeta], fixed shard order
-        # lazily-created batched row-block (grown geometrically on demand)
-        self.batch_shms: list = []
+        # lazily-created row block (grown geometrically on demand)
+        self.block_shms: list = []
         self.b_dist = self.b_segmin = self.b_winpay = None
         self.rows_cap = 0
 
-    def close_batch(self) -> None:
+    def close_block(self) -> None:
         self.b_dist = self.b_segmin = self.b_winpay = None
         self.rows_cap = 0
-        for shm in self.batch_shms:
+        for shm in self.block_shms:
             for fn in (shm.close, shm.unlink):
                 try:
                     fn()
                 except Exception:  # pragma: no cover - teardown best-effort
                     pass
-        self.batch_shms = []
+        self.block_shms = []
 
     def close(self) -> None:
-        self.close_batch()
-        self.dist_view = self.segmin_all = self.winpay_all = None
+        self.close_block()
         for shm in self.shms:
             for fn in (shm.close, shm.unlink):
                 try:
@@ -617,7 +521,6 @@ class ShardedBackend(ExecutionBackend):
         #: renders these as one lane per worker.
         self.round_log: list[dict] = []
         self.rounds_dropped = 0
-        self.collect_stats = worker_stats_enabled()
         self._procs: list = []
         self._conns: list = []
         self._plans: dict[int, _SharedPlan] = {}
@@ -642,7 +545,7 @@ class ShardedBackend(ExecutionBackend):
             # every worker inherits the same tracker process; a worker that
             # lazily spawned its own would unlink our blocks when it exits.
             resource_tracker.ensure_running()
-            if self.collect_stats and self._stats_shm is None:
+            if self._stats_shm is None:
                 self._stats_shm = shared_memory.SharedMemory(
                     create=True, size=8 * self.workers * STATS_FIELDS
                 )
@@ -654,15 +557,11 @@ class ShardedBackend(ExecutionBackend):
                 self._stats_view.fill(0)
             for widx in range(self.workers):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
-                stats_spec = (
-                    {
-                        "name": self._stats_shm.name,
-                        "row": widx,
-                        "workers": self.workers,
-                    }
-                    if self._stats_shm is not None
-                    else None
-                )
+                stats_spec = {
+                    "name": self._stats_shm.name,
+                    "row": widx,
+                    "workers": self.workers,
+                }
                 proc = ctx.Process(
                     target=_worker_main, args=(child_conn, stats_spec), daemon=True
                 )
@@ -787,19 +686,8 @@ class ShardedBackend(ExecutionBackend):
         from multiprocessing import shared_memory
 
         n = int(plan.n_arcs)
-        bounds = shard_bounds(n, self.workers)
-        seg_start = plan.seg_start
-        shard_specs = []
-        out_off = 0
-        for lo, hi in bounds:
-            seg_lo = int(np.searchsorted(seg_start, lo, side="right")) - 1
-            seg_hi = int(np.searchsorted(seg_start, hi, side="left"))
-            local_starts = (
-                np.maximum(seg_start[seg_lo:seg_hi], lo) - lo
-            ).astype(np.int64)
-            shard_specs.append((lo, hi, seg_lo, out_off, seg_hi - seg_lo, local_starts))
-            out_off += seg_hi - seg_lo
-        out_total = out_off
+        layout = _shard_layout(plan.seg_start, n, self.workers)
+        out_total = sum(starts.size for *_, starts in layout)
 
         shms = []
 
@@ -811,24 +699,15 @@ class ShardedBackend(ExecutionBackend):
         try:
             tails_shm = _create(8 * n)
             weights_shm = _create(8 * n)
-            dist_shm = _create(8 * plan.n_cells)
-            segmin_shm = _create(8 * out_total)
-            winpay_shm = _create(8 * out_total)
             np.ndarray(n, dtype=np.int64, buffer=tails_shm.buf)[:] = plan.tails_s
             np.ndarray(n, dtype=np.float64, buffer=weights_shm.buf)[:] = plan.weights_s
-            dist_view = np.ndarray(
-                plan.n_cells, dtype=np.float64, buffer=dist_shm.buf
-            )
-            segmin_all = np.ndarray(out_total, dtype=np.float64, buffer=segmin_shm.buf)
-            winpay_all = np.ndarray(out_total, dtype=np.int64, buffer=winpay_shm.buf)
 
             key = self._next_key
             self._next_key += 1
             metas = []
+            off = 0
             deadline = time.monotonic() + self.round_timeout
-            for widx, (lo, hi, seg_lo, off, out_len, local_starts) in enumerate(
-                shard_specs
-            ):
+            for widx, (lo, hi, seg_lo, local_starts) in enumerate(layout):
                 self._conns[widx].send(
                     (
                         "register",
@@ -836,9 +715,6 @@ class ShardedBackend(ExecutionBackend):
                             "key": key,
                             "tails": tails_shm.name,
                             "weights": weights_shm.name,
-                            "dist": dist_shm.name,
-                            "segmin": segmin_shm.name,
-                            "winpay": winpay_shm.name,
                             "n_arcs": n,
                             "n_cells": int(plan.n_cells),
                             "lo": lo,
@@ -849,8 +725,11 @@ class ShardedBackend(ExecutionBackend):
                         },
                     )
                 )
-                metas.append(_ShardMeta(widx, lo, hi, seg_lo, off, out_len))
-            for widx in range(len(shard_specs)):
+                metas.append(
+                    _ShardMeta(widx, lo, hi, seg_lo, off, local_starts.size)
+                )
+                off += local_starts.size
+            for widx in range(len(layout)):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._conns[widx].poll(remaining):
                     raise TimeoutError(f"worker {widx} registration timed out")
@@ -867,45 +746,29 @@ class ShardedBackend(ExecutionBackend):
             self._fail(f"plan registration failed: {exc!r}", cost=cost,
                        kind="registration")
             return None
-        sp = _SharedPlan(key, plan, shms, dist_view, segmin_all, winpay_all, metas)
+        sp = _SharedPlan(key, plan, shms, out_total, metas)
         self._plans[id(plan)] = sp
         return sp
 
     # -- the round -----------------------------------------------------------
 
-    def relax_segmin(self, plan, dist, take, cost=None):
-        """One dense round's ``(segmin, winpay)`` — sharded when eligible."""
-        out = None
-        eligible = plan.n_arcs >= self.min_arcs
-        if not self.failed and eligible and self._ensure_pool(cost):
-            out = self._sharded_round(plan, dist, cost)
-        if out is None:
-            self.serial_rounds += 1
-            if cost is not None:
-                reason = "fallback" if self.failed else "min-arcs"
-                cost.traffic(f"backend.serial_round.{reason}", elements=1)
-            return super().relax_segmin(plan, dist, take, cost=cost)
-        self.sharded_rounds += 1
-        return out
-
     def relax_segmin_batch(self, plan, dist_block, take, cost=None):
-        """One batched round's (A × n_cells) ``(segmin, winpay)`` matrices.
+        """One round's (A × n_cells) ``(segmin, winpay)`` — sharded when big.
 
-        Eligibility scales with the *total* candidate count — ``rows ×
-        n_arcs`` against the same ``min_arcs`` floor — since the row block
-        amortizes one IPC round over every active source.  The row block
-        is broadcast to the shards once per round through a lazily-grown
-        shared-memory block; each worker computes its arc shard for all
-        rows in one rectangular pass, and the parent runs the established
-        fixed-shard-order tree min-combine *per row* — bit-identical to
-        the serial batch kernel, which is itself row-identical to the solo
-        kernel.  Any fault degrades to the in-process batch kernel.
+        Eligibility counts candidates — ``rows × n_arcs`` against the
+        ``min_arcs`` floor, so a one-row round counts its arcs — since one
+        IPC round serves every row of the block.  The row block is
+        broadcast to the shards through a lazily-grown shared-memory
+        block; each worker computes its arc shard for all rows in one
+        rectangular pass, and the parent runs one fixed-shard-order
+        combine over the whole block — bit-identical to the serial kernel.
+        Any fault degrades to the in-process kernel.
         """
         rows = int(dist_block.shape[0])
         out = None
         eligible = rows * int(plan.n_arcs) >= self.min_arcs
         if not self.failed and eligible and self._ensure_pool(cost):
-            out = self._sharded_batch_round(plan, dist_block, cost)
+            out = self._sharded_round(plan, dist_block, cost)
         if out is None:
             self.serial_rounds += 1
             if cost is not None:
@@ -921,7 +784,7 @@ class ShardedBackend(ExecutionBackend):
         Entry rows are transient, so eligible rounds ship their row slices
         through the worker pipes (no shared-memory registration); each
         worker returns its staged per-segment partials in the ack and the
-        parent runs the fixed-shard-order lexicographic tree combine.
+        parent runs the fixed-shard-order lexicographic combine.
         Smaller rounds — and every round after a fault — run the serial
         kernel, reported as ``backend.serial_entry.{min-rows,fallback}``.
         """
@@ -942,17 +805,9 @@ class ShardedBackend(ExecutionBackend):
 
     def _entry_round(self, dist_s, keys, seg_start, cost):
         n = int(dist_s.size)
-        bounds = shard_bounds(n, self.workers)
+        shard_specs = _shard_layout(seg_start, n, self.workers)
         self._round_id += 1
         rid = self._round_id
-        shard_specs = []
-        for lo, hi in bounds:
-            seg_lo = int(np.searchsorted(seg_start, lo, side="right")) - 1
-            seg_hi = int(np.searchsorted(seg_start, hi, side="left"))
-            local_starts = (
-                np.maximum(seg_start[seg_lo:seg_hi], lo) - lo
-            ).astype(np.int64)
-            shard_specs.append((lo, hi, seg_lo, local_starts))
         try:
             for widx, (lo, hi, _seg_lo, local_starts) in enumerate(shard_specs):
                 self._conns[widx].send(
@@ -986,73 +841,15 @@ class ShardedBackend(ExecutionBackend):
             self._fail(f"entry round {rid} failed: {exc!r}", cost=cost,
                        kind="worker-death")
             return None
-        _, gmin_d, mins = entry_tree_combine(parts)
+        _, gmin_d, mins = shard_min_combine(parts)
         if cost is not None:
             cost.traffic("backend.entry_round", elements=n)
             for lo, hi, _seg_lo, _ls in shard_specs:
                 cost.traffic("backend.entry_shard", elements=hi - lo)
         return gmin_d, mins
 
-    def _sharded_round(self, plan, dist, cost):
-        sp = self._plans.get(id(plan))
-        if sp is None or sp.plan is not plan:
-            sp = self._register(plan, cost=cost)
-            if sp is None:
-                return None
-        np.copyto(sp.dist_view, dist)
-        self._round_id += 1
-        rid = self._round_id
-        walls = []
-        wall_t0 = time.perf_counter()  # parent clock, same as SpanTracer's
-        t0_ns = time.perf_counter_ns()
-        try:
-            for meta in sp.shards:
-                self._conns[meta.worker].send(("round", sp.key, rid))
-            deadline = time.monotonic() + self.round_timeout
-            for meta in sp.shards:
-                conn = self._conns[meta.worker]
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not conn.poll(max(remaining, 0.0)):
-                    raise TimeoutError(f"worker {meta.worker} round timed out")
-                msg = conn.recv()
-                if msg[0] != "done" or msg[1] != rid:
-                    raise RuntimeError(f"worker {meta.worker} answered {msg!r}")
-                walls.append(int(msg[2]))
-        except TimeoutError as exc:
-            self._fail(f"round {rid} failed: {exc!r}", cost=cost, kind="timeout")
-            return None
-        except (EOFError, OSError, RuntimeError) as exc:
-            self._fail(f"round {rid} failed: {exc!r}", cost=cost,
-                       kind="worker-death")
-            return None
-        parts = [
-            (
-                meta.seg_lo,
-                sp.segmin_all[meta.out_off:meta.out_off + meta.out_len],
-                sp.winpay_all[meta.out_off:meta.out_off + meta.out_len],
-            )
-            for meta in sp.shards
-        ]
-        _, segmin, winpay = tree_min_combine(parts)
-        round_wall_ns = time.perf_counter_ns() - t0_ns
-        if cost is not None:
-            cost.traffic("backend.round", elements=int(plan.n_arcs))
-            for meta, wall_ns in zip(sp.shards, walls):
-                cost.traffic("backend.shard", elements=meta.hi - meta.lo)
-                cost.traffic("backend.worker_wall_ns", elements=wall_ns)
-            combined = sum(meta.out_len for meta in sp.shards)
-            cost.traffic(
-                "backend.combine",
-                elements=int(segmin.size),
-                reads=combined,
-                writes=16 * combined,  # bytes moved through the combine tree
-            )
-            if cost.has_subscribers:
-                self._merge_worker_stats(sp, rid, wall_t0, round_wall_ns, cost)
-        return segmin, winpay
-
-    def _ensure_batch(self, sp, rows: int, cost) -> bool:
-        """Grow ``sp``'s batched row-block to hold ``rows`` sources.
+    def _ensure_block(self, sp, rows: int, cost) -> bool:
+        """Grow ``sp``'s shared row block to hold ``rows`` rows.
 
         Creates fresh (rows_cap × n_cells) dist and (rows_cap × out_total)
         output blocks, re-attaches every shard's workers to them, then
@@ -1064,8 +861,8 @@ class ShardedBackend(ExecutionBackend):
         from multiprocessing import shared_memory
 
         rows_cap = max(rows, 2 * sp.rows_cap, 4)
-        n_cells = int(sp.dist_view.size)
-        out_total = int(sp.segmin_all.size)
+        n_cells = int(sp.plan.n_cells)
+        out_total = int(sp.out_total)
         shms = []
 
         def _create(nbytes):
@@ -1085,17 +882,15 @@ class ShardedBackend(ExecutionBackend):
             }
             deadline = time.monotonic() + self.round_timeout
             for meta in sp.shards:
-                self._conns[meta.worker].send(("battach", sp.key, spec))
+                self._conns[meta.worker].send(("attach", sp.key, spec))
             for meta in sp.shards:
                 conn = self._conns[meta.worker]
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not conn.poll(max(remaining, 0.0)):
-                    raise TimeoutError(
-                        f"worker {meta.worker} batch attach timed out"
-                    )
+                    raise TimeoutError(f"worker {meta.worker} block attach timed out")
                 ack = conn.recv()
-                if ack != ("bok", sp.key):
-                    raise RuntimeError(f"worker {meta.worker} batch attach: {ack!r}")
+                if ack != ("attached", sp.key):
+                    raise RuntimeError(f"worker {meta.worker} block attach: {ack!r}")
         except Exception as exc:
             for shm in shms:
                 for fn in (shm.close, shm.unlink):
@@ -1103,11 +898,11 @@ class ShardedBackend(ExecutionBackend):
                         fn()
                     except Exception:
                         pass
-            self._fail(f"batch block attach failed: {exc!r}", cost=cost,
+            self._fail(f"row block attach failed: {exc!r}", cost=cost,
                        kind="registration")
             return False
-        sp.close_batch()  # workers have moved off the old block already
-        sp.batch_shms = shms
+        sp.close_block()  # workers have moved off the old block already
+        sp.block_shms = shms
         sp.b_dist = np.ndarray(
             (rows_cap, n_cells), dtype=np.float64, buffer=dist_shm.buf
         )
@@ -1120,14 +915,14 @@ class ShardedBackend(ExecutionBackend):
         sp.rows_cap = rows_cap
         return True
 
-    def _sharded_batch_round(self, plan, dist_block, cost):
+    def _sharded_round(self, plan, dist_block, cost):
         sp = self._plans.get(id(plan))
         if sp is None or sp.plan is not plan:
             sp = self._register(plan, cost=cost)
             if sp is None:
                 return None
         rows = int(dist_block.shape[0])
-        if not self._ensure_batch(sp, rows, cost):
+        if not self._ensure_block(sp, rows, cost):
             return None
         np.copyto(sp.b_dist[:rows], dist_block)
         self._round_id += 1
@@ -1137,44 +932,38 @@ class ShardedBackend(ExecutionBackend):
         t0_ns = time.perf_counter_ns()
         try:
             for meta in sp.shards:
-                self._conns[meta.worker].send(("bround", sp.key, rid, rows))
+                self._conns[meta.worker].send(("round", sp.key, rid, rows))
             deadline = time.monotonic() + self.round_timeout
             for meta in sp.shards:
                 conn = self._conns[meta.worker]
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not conn.poll(max(remaining, 0.0)):
-                    raise TimeoutError(f"worker {meta.worker} batch round timed out")
+                    raise TimeoutError(f"worker {meta.worker} round timed out")
                 msg = conn.recv()
                 if msg[0] != "done" or msg[1] != rid:
                     raise RuntimeError(f"worker {meta.worker} answered {msg!r}")
                 walls.append(int(msg[2]))
         except TimeoutError as exc:
-            self._fail(f"batch round {rid} failed: {exc!r}", cost=cost,
-                       kind="timeout")
+            self._fail(f"round {rid} failed: {exc!r}", cost=cost, kind="timeout")
             return None
         except (EOFError, OSError, RuntimeError) as exc:
-            self._fail(f"batch round {rid} failed: {exc!r}", cost=cost,
+            self._fail(f"round {rid} failed: {exc!r}", cost=cost,
                        kind="worker-death")
             return None
-        # the established fixed-shard-order tree combine, applied per row
-        k0 = int(plan.cells.size)
-        segmin = np.empty((rows, k0), dtype=np.float64)
-        winpay = np.empty((rows, k0), dtype=np.int64)
-        for i in range(rows):
-            parts = [
-                (
-                    meta.seg_lo,
-                    sp.b_segmin[i, meta.out_off:meta.out_off + meta.out_len],
-                    sp.b_winpay[i, meta.out_off:meta.out_off + meta.out_len],
-                )
-                for meta in sp.shards
-            ]
-            _, mn, py = tree_min_combine(parts)
-            segmin[i] = mn
-            winpay[i] = py
+        # one fixed-shard-order combine over the whole row block; the
+        # payload is the one tie key of a relaxation partial
+        _, segmin, (winpay,) = shard_min_combine([
+            (
+                meta.seg_lo,
+                sp.b_segmin[:rows, meta.out_off:meta.out_off + meta.out_len],
+                (sp.b_winpay[:rows, meta.out_off:meta.out_off + meta.out_len],),
+            )
+            for meta in sp.shards
+        ])
         round_wall_ns = time.perf_counter_ns() - t0_ns
+        candidates = int(plan.n_arcs) * rows
         if cost is not None:
-            cost.traffic("backend.batch_round", elements=int(plan.n_arcs) * rows)
+            cost.traffic("backend.round", elements=candidates)
             cost.traffic("backend.batch_rows", elements=rows)
             for meta, wall_ns in zip(sp.shards, walls):
                 cost.traffic("backend.shard", elements=(meta.hi - meta.lo) * rows)
@@ -1187,10 +976,14 @@ class ShardedBackend(ExecutionBackend):
                 writes=16 * combined,
             )
             if cost.has_subscribers:
-                self._merge_worker_stats(sp, rid, wall_t0, round_wall_ns, cost)
+                self._merge_worker_stats(
+                    sp, rid, wall_t0, round_wall_ns, candidates, cost
+                )
         return segmin, winpay
 
-    def _merge_worker_stats(self, sp, rid, wall_t0, round_wall_ns, cost) -> None:
+    def _merge_worker_stats(
+        self, sp, rid, wall_t0, round_wall_ns, candidates, cost
+    ) -> None:
         """Fold this round's shared-memory stats rows into the cost hooks.
 
         Rows are read in fixed shard order (deterministic merge) after all
@@ -1200,8 +993,6 @@ class ShardedBackend(ExecutionBackend):
         :attr:`round_log` entry records the lane data for the exporter.
         """
         stats = self._stats_view
-        if stats is None:
-            return
         worker_entries = []
         totals = []
         for meta in sp.shards:
@@ -1245,7 +1036,7 @@ class ShardedBackend(ExecutionBackend):
                     "round": rid,
                     "t0": wall_t0,
                     "wall_ns": int(round_wall_ns),
-                    "arcs": int(sp.plan.n_arcs),
+                    "arcs": candidates,
                     "workers": worker_entries,
                 }
             )
@@ -1254,9 +1045,7 @@ class ShardedBackend(ExecutionBackend):
 
     def describe(self) -> str:
         state = f"failed: {self.failure_reason}" if self.failed else "ok"
-        stats = "on" if self.collect_stats else "off"
         return (
             f"sharded(workers={self.workers}, min_arcs={self.min_arcs}, "
-            f"min_entry_rows={self.min_entry_rows}, "
-            f"worker_stats={stats}, {state})"
+            f"min_entry_rows={self.min_entry_rows}, {state})"
         )

@@ -104,9 +104,7 @@ class PRAM:
         Returns ``(slots, arcs)``: per gathered arc, its frontier slot and
         its index into the CSR ``indices``/``weights`` arrays.
         """
-        return primitives.pgather_csr(
-            self.cost, indptr, frontier, label=label, backend=self.backend
-        )
+        return primitives.pgather_csr(self.cost, indptr, frontier, label=label)
 
     def gather_add(
         self,
@@ -123,7 +121,7 @@ class PRAM:
         return primitives.pgather_add(
             self.cost, indptr, indices, weights, frontier, base,
             workspace=self.workspace, label=label, add_label=add_label,
-            backend=self.backend, deg_all=deg_all,
+            deg_all=deg_all,
         )
 
     def prune_entries(

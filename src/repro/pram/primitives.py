@@ -44,7 +44,6 @@ import numpy as np
 from repro.pram.backends.base import (
     serial_entry_segmin,
     serial_gather_csr,
-    serial_segmin,
     serial_segmin_batch,
 )
 from repro.pram.cost import CostModel
@@ -267,7 +266,6 @@ def pgather_csr(
     indptr: np.ndarray,
     frontier: np.ndarray,
     label: str = "gather_csr",
-    backend=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather the CSR arc ranges of the ``frontier`` vertices.
 
@@ -306,10 +304,7 @@ def pgather_csr(
         cost.traffic(label)
         cost.commit_round(label)
         return slots, arcs
-    if backend is not None:
-        slots, arcs = backend.gather_csr(indptr, frontier)
-    else:
-        slots, arcs = serial_gather_csr(indptr, frontier)
+    slots, arcs = serial_gather_csr(indptr, frontier)
     total = int(arcs.size)
     if cost.wants_footprints:
         out_slots = np.arange(total, dtype=np.int64)
@@ -333,7 +328,6 @@ def pgather_add(
     workspace=None,
     label: str = "gather_csr",
     add_label: str = "relax",
-    backend=None,
     deg_all: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused CSR frontier gather + per-arc candidate add.
@@ -367,10 +361,7 @@ def pgather_add(
         cost.traffic(label)
         cost.commit_round(label)
         return empty, empty, np.zeros(0)
-    if backend is not None:
-        slots, arcs = backend.gather_csr(indptr, frontier, deg_all)
-    else:
-        slots, arcs = serial_gather_csr(indptr, frontier, deg_all)
+    slots, arcs = serial_gather_csr(indptr, frontier, deg_all)
     total = int(arcs.size)
     if cost.wants_footprints:
         out_slots = np.arange(total, dtype=np.int64)
@@ -491,11 +482,14 @@ def prelax_arcs(
     re-sorted per call or via a precomputed :class:`RelaxPlan`
     (``plan=``, which also carries pre-permuted tails/weights — then
     ``tails``/``heads``/``weights`` are ignored).  Scratch arrays come
-    from the optional ``workspace`` pool.  With a ``backend``
-    (:mod:`repro.pram.backends`) the planned round's segment-min kernel
-    runs on that backend — e.g. sharded across worker processes — still
-    bit-equal and charged identically; rounds that must declare write
-    footprints (an attached race detector) always run in process.
+    from the optional ``workspace`` pool.  The segment-min kernel takes
+    ``dist`` as a row block of one row: with a ``backend``
+    (:mod:`repro.pram.backends`) a planned round runs on that backend's
+    :meth:`~repro.pram.backends.base.ExecutionBackend.relax_segmin_batch`
+    — e.g. sharded across worker processes — still bit-equal and charged
+    identically; unplanned rounds (the sparse engine's frontier arcs) and
+    rounds that must declare write footprints (an attached race detector)
+    run the in-process kernel.
 
     Float min is order-independent, so the per-cell winning value is
     bit-equal to the lexsort-based :func:`scatter_min_arg`; the winning
@@ -570,18 +564,20 @@ def prelax_arcs(
             seg_id -= 1
         k = int(cells.size)
         # The numeric kernel runs on the machine's execution backend (see
-        # repro.pram.backends): the serial path computes the per-segment
-        # (segmin, winpay) in process, the sharded path on worker shards
-        # with a fixed-order tree min-combine — bit-equal either way.
-        # Shadowed rounds need the per-arc cand/achieving arrays for their
-        # footprint declarations, so they always run the in-process kernel.
-        cand = achieving = None
+        # repro.pram.backends) as a one-row block: the serial path computes
+        # the per-segment (segmin, winpay) in process, the sharded path on
+        # worker shards with a fixed-order min-combine — bit-equal either
+        # way.  Shadowed rounds need the per-arc cand/achieving arrays for
+        # their footprint declarations, so they run the in-process kernel.
+        block = dist[np.newaxis]
         if backend is not None and plan is not None and not cost.wants_footprints:
-            segmin, winpay = backend.relax_segmin(plan, dist, take, cost=cost)
+            segmin, winpay = backend.relax_segmin_batch(plan, block, take, cost=cost)
         else:
-            cand, segmin, winpay, achieving = serial_segmin(
-                dist, tails_s, weights_s, seg_start, seg_id, take
+            cand, segmin, winpay, achieving = serial_segmin_batch(
+                block, tails_s, weights_s, seg_start, seg_id, take
             )
+            cand, achieving = cand[0], achieving[0]
+        segmin, winpay = segmin[0], winpay[0]
         incumbent = take("relax.incumbent", k, np.float64)
         dist.take(cells, out=incumbent)
         improve = take("relax.improve", k, bool)
@@ -754,7 +750,7 @@ def prelax_arcs_batch(
     if backend is not None:
         segmin, winpay = backend.relax_segmin_batch(plan, dist_block, take, cost=obs)
     else:
-        segmin, winpay = serial_segmin_batch(
+        _, segmin, winpay, _ = serial_segmin_batch(
             dist_block, plan.tails_s, plan.weights_s, plan.seg_start, plan.seg_id,
             take,
         )

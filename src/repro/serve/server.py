@@ -77,6 +77,7 @@ from repro.serve.protocol import (
     format_update,
     parse_line,
 )
+from repro.sssp.mssp import DEFAULT_MSSP_BLOCK
 from repro.sssp.oracle import HopsetDistanceOracle, tree_path
 
 __all__ = ["OracleServer", "OracleTCPServer", "serve_tcp", "read_query_log"]
@@ -118,9 +119,9 @@ class OracleServer:
         Optional externally-attached registry; by default the server
         attaches (and on :meth:`close` detaches) its own.
     mssp_block:
-        Row-block width of the S×V matrix engine used when a
-        micro-batch groups several uncached sources (``--mssp-block`` /
-        ``REPRO_MSSP``); answers and charges are block-invariant.
+        Row-block width S >= 1 of the S×V matrix engine used when a
+        micro-batch groups several uncached sources (``--mssp-block``);
+        answers and charges are block-invariant.
     dynamic:
         When True the server accepts the mutation verbs ``update U V W``
         and ``delete U V``: a :class:`~repro.dynamic.engine.DynamicOracle`
@@ -149,7 +150,7 @@ class OracleServer:
         max_batch: int = 64,
         log_path=None,
         metrics: MetricsRegistry | None = None,
-        mssp_block: int | None = None,
+        mssp_block: int = DEFAULT_MSSP_BLOCK,
         dynamic: bool = False,
         params=None,
         refresh_below: float = 0.5,

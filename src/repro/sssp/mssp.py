@@ -29,15 +29,17 @@ then per executed round one ``frontier.size`` traffic event and one
 *is* charged (that is how convergence is detected), after which the row
 stops charging entirely.
 
-``REPRO_MSSP`` / ``--mssp-block`` select the row-block width S used by
-the call sites (:func:`repro.sssp.multi_source.approximate_mssd`, the
-oracle, the serving layer): ``0``/``off``/``loop`` disables batching,
-an integer sets the block, unset means :data:`DEFAULT_MSSP_BLOCK`.
+The call sites (:func:`repro.sssp.multi_source.approximate_mssd`, the
+oracle, the serving layer) split their sources into row blocks of width
+S >= 1 (``block=`` / ``mssp_block=`` / ``--mssp-block``, default
+:data:`DEFAULT_MSSP_BLOCK`); :func:`block_width` validates it.  S = 1
+explores one source at a time with exactly the per-row charges of a
+solo dense run.
 """
 
 from __future__ import annotations
 
-import os
+import operator
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -53,8 +55,8 @@ from repro.pram.workspace import Workspace
 __all__ = [
     "DEFAULT_MSSP_BLOCK",
     "BatchExploreResult",
+    "block_width",
     "explore_batch",
-    "mssp_block_default",
 ]
 
 #: Default row-block width of the matrix engine (sources per S×V pass).
@@ -64,28 +66,21 @@ __all__ = [
 DEFAULT_MSSP_BLOCK = 32
 
 
-def mssp_block_default() -> int:
-    """The ``REPRO_MSSP`` environment default for the matrix block width.
+def block_width(block) -> int:
+    """``block`` as a matrix row-block width: an integer S >= 1.
 
-    ``0`` / ``off`` / ``loop`` disable batching (callers fall back to one
-    exploration per source); a positive integer is the block width; unset
-    or ``on``/``matrix`` mean :data:`DEFAULT_MSSP_BLOCK`.
+    Raises :class:`InvalidStepError` for anything else — zero, negative,
+    or non-integer widths.
     """
-    raw = os.environ.get("REPRO_MSSP", "").strip().lower()
-    if raw in ("", "on", "matrix", "batch"):
-        return DEFAULT_MSSP_BLOCK
-    if raw in ("off", "loop", "none"):
-        return 0
     try:
-        block = int(raw)
-    except ValueError:
+        width = operator.index(block)
+    except TypeError:
         raise InvalidStepError(
-            f"unknown REPRO_MSSP value {raw!r} "
-            "(expected an integer block width, 'off', or 'on')"
+            f"block width must be an integer, got {block!r}"
         ) from None
-    if block < 0:
-        raise InvalidStepError(f"REPRO_MSSP block must be >= 0, got {block}")
-    return block
+    if width < 1:
+        raise InvalidStepError(f"block width must be >= 1, got {width}")
+    return width
 
 
 @dataclass
@@ -123,15 +118,16 @@ def explore_batch(
         One :class:`CostModel` per row (fresh ones by default).  Rows
         whose model wants footprints are delegated to the solo kernel.
     workspace:
-        Scratch pool for the row-block round buffers (``relaxb.*``) and
-        the cached :class:`~repro.pram.primitives.RelaxPlan`.
+        Scratch pool for the row-block round buffers (``relax.*``,
+        ``relaxb.*``) and the cached
+        :class:`~repro.pram.primitives.RelaxPlan`.
     backend:
         Execution backend for the per-round segmented minimum
         (:meth:`~repro.pram.backends.base.ExecutionBackend.relax_segmin_batch`);
         ``None`` computes in-process.
     obs_cost:
         Optional cost model that receives backend *telemetry* traffic
-        (``backend.batch_round`` …) — observability only, never charges.
+        (``backend.round`` …) — observability only, never charges.
     out:
         Optional ``(dist, parent)`` matrices of shape (S, n) to fill in
         place (e.g. slices of a caller-owned result matrix).

@@ -6,7 +6,11 @@ slice), so the depth stays one exploration's depth while the work scales
 with |S| — the E11 experiment measures exactly this separation.
 
 Because the simulator executes sequentially, the parallel composition is
-accounted explicitly: depth = max over explorations, work = sum.
+accounted explicitly: depth = max over explorations, work = sum.  The
+explorations run through the S×V matrix engine
+(:mod:`repro.sssp.mssp`) in row blocks, each row charged exactly like a
+solo dense ``bellman_ford`` run, so the composed cost does not depend on
+the block width.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ import numpy as np
 from repro.graphs.csr import Graph
 from repro.graphs.errors import VertexError
 from repro.hopsets.hopset import Hopset
-from repro.pram.cost import CostModel, CostSnapshot
+from repro.pram.cost import CostSnapshot
 from repro.pram.machine import PRAM
 from repro.pram.workspace import Workspace
-from repro.sssp.bellman_ford import bellman_ford
-from repro.sssp.mssp import explore_batch, mssp_block_default
+from repro.sssp.mssp import DEFAULT_MSSP_BLOCK, block_width, explore_batch
 
 __all__ = ["MultiSourceResult", "approximate_mssd"]
 
@@ -47,36 +50,30 @@ def approximate_mssd(
     sources: np.ndarray,
     pram: PRAM | None = None,
     hop_budget: int | None = None,
-    engine: str = "auto",
-    block: int | None = None,
+    block: int = DEFAULT_MSSP_BLOCK,
 ) -> MultiSourceResult:
     """Run one β-hop exploration per source over G ∪ H.
 
+    The sources advance through the S×V *matrix engine*
+    (:func:`repro.sssp.mssp.explore_batch`) in blocks of ``block`` rows
+    (S >= 1; ``--mssp-block`` on the CLI): each block is one (S × n)
+    matrix per relaxation round, and every row replays the charges of a
+    solo ``bellman_ford(..., engine="dense")`` run, so outputs and the
+    composed cost do not depend on ``block`` — only wall-clock does.
+
     The outer ``pram`` (if given) is charged with the composed cost:
-    sum-of-work, max-of-depth.  ``engine`` selects the per-exploration
-    relaxation schedule (see :mod:`repro.pram.frontier`); the result is
-    bit-exact regardless.  All explorations share one scratch
+    sum-of-work, max-of-depth.  All blocks share one scratch
     :class:`~repro.pram.workspace.Workspace` (the outer machine's, if
     given), so the relaxation kernels allocate their round buffers once
     for the whole sweep; they also share the outer machine's execution
     backend (:mod:`repro.pram.backends`).  If an exploration raises, the
     shared pool's buffers acquired by the sweep are released before the
     error propagates.
-
-    ``block`` selects the S×V *matrix engine* width
-    (:func:`repro.sssp.mssp.explore_batch`): source blocks of that size
-    advance as one (block × n) matrix per relaxation round — same
-    distances/parents, one vectorized pass instead of ``block`` scans.
-    ``None`` follows the ``REPRO_MSSP`` environment default
-    (``--mssp-block`` on the CLI); ``0`` forces the per-source loop.
-    The matrix engine replays the *dense* schedule per row, so it engages
-    only when that is what was asked for (``engine`` of
-    ``"auto"``/``"dense"``); explicit ``"sparse"`` scheduling falls back
-    to the loop.
     """
     src = np.asarray(sources, dtype=np.int64)
     if src.ndim != 1 or src.size == 0:
         raise VertexError("sources must be a non-empty 1-D array")
+    nblock = block_width(block)
     union = hopset.union_graph(graph)
     budget = hop_budget if hop_budget is not None else min(2 * hopset.beta + 1, max(graph.n - 1, 1))
     dists = np.empty((src.size, graph.n))
@@ -85,30 +82,19 @@ def approximate_mssd(
     max_depth = 0
     shared_ws = pram.workspace if pram is not None else Workspace()
     backend = pram.backend if pram is not None else None
-    nblock = mssp_block_default() if block is None else int(block)
-    use_matrix = nblock >= 1 and engine in ("auto", "dense")
     ok = False
     try:
-        if use_matrix:
-            for lo in range(0, int(src.size), nblock):
-                chunk = src[lo : lo + nblock]
-                hi = lo + int(chunk.size)
-                res = explore_batch(
-                    union, chunk, budget,
-                    workspace=shared_ws, backend=backend,
-                    obs_cost=pram.cost if pram is not None else None,
-                    out=(dists[lo:hi], parents[lo:hi]),
-                )
-                total_work += sum(c.work for c in res.costs)
-                max_depth = max(max_depth, max(c.depth for c in res.costs))
-        else:
-            for row, s in enumerate(src):
-                local = PRAM(CostModel(), workspace=shared_ws, backend=backend)
-                bf = bellman_ford(local, union, int(s), budget, engine=engine)
-                dists[row] = bf.dist
-                parents[row] = bf.parent
-                total_work += local.cost.work
-                max_depth = max(max_depth, local.cost.depth)
+        for lo in range(0, int(src.size), nblock):
+            chunk = src[lo : lo + nblock]
+            hi = lo + int(chunk.size)
+            res = explore_batch(
+                union, chunk, budget,
+                workspace=shared_ws, backend=backend,
+                obs_cost=pram.cost if pram is not None else None,
+                out=(dists[lo:hi], parents[lo:hi]),
+            )
+            total_work += sum(c.work for c in res.costs)
+            max_depth = max(max_depth, max(c.depth for c in res.costs))
         ok = True
     finally:
         if not ok:

@@ -27,7 +27,7 @@ from repro.graphs.csr import Graph
 from repro.graphs.errors import VertexError
 from repro.hopsets.hopset import Hopset
 from repro.pram.machine import PRAM
-from repro.sssp.mssp import explore_batch, mssp_block_default
+from repro.sssp.mssp import DEFAULT_MSSP_BLOCK, block_width, explore_batch
 
 __all__ = ["HopsetDistanceOracle", "tree_path"]
 
@@ -67,11 +67,10 @@ class HopsetDistanceOracle:
         labels, so any attached hook (tracer, registry) sees them in trace
         summaries without the oracle knowing about it.
     mssp_block:
-        Row-block width of the S×V matrix engine
+        Row-block width S >= 1 of the S×V matrix engine
         (:func:`repro.sssp.mssp.explore_batch`) used for tier-2
-        explorations; ``None`` follows ``REPRO_MSSP``.  Per-source
-        outputs and charges are block-invariant (the matrix contract),
-        only wall-clock changes.
+        explorations.  Per-source outputs and charges are block-invariant
+        (the matrix contract), only wall-clock changes.
     union:
         An already-materialized G ∪ H to explore instead of building
         one from ``hopset.union_graph(graph)`` — the dynamic serving
@@ -99,7 +98,7 @@ class HopsetDistanceOracle:
         cache_size: int = 32,
         pram: PRAM | None = None,
         metrics=None,
-        mssp_block: int | None = None,
+        mssp_block: int = DEFAULT_MSSP_BLOCK,
         union=None,
     ) -> None:
         if hopset.n != graph.n:
@@ -119,9 +118,8 @@ class HopsetDistanceOracle:
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._cache_size = cache_size
         self.metrics = metrics
-        block = mssp_block_default() if mssp_block is None else int(mssp_block)
-        #: sources per S×V matrix pass (0/1: one row at a time)
-        self.mssp_block = max(block, 1)
+        #: sources per S×V matrix pass (1: one row at a time)
+        self.mssp_block = block_width(mssp_block)
         #: tier-2 explorations actually run (rows of matrix passes)
         self.explorations = 0
         #: S×V matrix passes run (each explores >= 1 rows)

@@ -1,9 +1,10 @@
 """Unit tests for the execution-backend subsystem (docs/backends.md).
 
 Covers spec parsing and singleton resolution, shard partitioning, the
-deterministic tree min-combine against a straight ``reduceat`` reference
-(including straddling segments and value ties), the ``min_arcs``
-in-process guard and the default threshold's routing, and the graceful-degradation path: a worker killed
+deterministic shard combine against a straight ``reduceat`` reference
+(including straddling segments, value ties, and multi-row blocks whose
+rows tie differently), the ``min_arcs`` in-process guard and the default
+threshold's routing, and the graceful-degradation path: a worker killed
 mid-computation must trip permanent serial fallback and still produce
 bit-correct distances.
 """
@@ -21,16 +22,13 @@ from repro.pram.backends import (
     ShardedBackend,
     parse_backend_spec,
     resolve_backend,
+    serial_gather_csr,
     shard_bounds,
-    tree_min_combine,
+    shard_min_combine,
 )
 from repro.pram.backends.base import _SINGLETONS, serial_entry_segmin
 from repro.obs.metrics import MetricsRegistry
-from repro.pram.backends.sharded import (
-    DEFAULT_MIN_ARCS,
-    _entry_partial,
-    entry_tree_combine,
-)
+from repro.pram.backends.sharded import DEFAULT_MIN_ARCS, _entry_partial
 from repro.pram.cost import CostModel
 from repro.pram.errors import InvalidStepError
 from repro.pram.machine import PRAM
@@ -118,56 +116,66 @@ def test_shard_bounds_cover_and_balance():
     assert shard_bounds(0, 4) == []
 
 
-# -- tree min-combine vs reduceat reference ----------------------------------
+# -- the shard combine vs reduceat reference ---------------------------------
 
 
 def _shard_partials(cand, tails, seg_start, bounds):
-    """Emulate the per-worker computation on each contiguous arc range."""
+    """Emulate the per-worker computation on each contiguous arc range,
+    over every row of the (rows × arcs) candidate block at once."""
     parts = []
     for lo, hi in bounds:
         seg_lo = int(np.searchsorted(seg_start, lo, side="right")) - 1
         seg_hi = int(np.searchsorted(seg_start, hi, side="left"))
         local_starts = np.maximum(seg_start[seg_lo:seg_hi], lo) - lo
-        c = cand[lo:hi]
-        mn = np.minimum.reduceat(c, local_starts)
+        c = cand[:, lo:hi]
+        mn = np.minimum.reduceat(c, local_starts, axis=1)
         seg_len = np.diff(np.concatenate((local_starts, [hi - lo])))
-        rep = np.repeat(mn, seg_len)
+        rep = np.repeat(mn, seg_len, axis=1)
         maskpay = np.where(c == rep, tails[lo:hi], _INT64_MAX)
-        py = np.minimum.reduceat(maskpay, local_starts)
-        parts.append((seg_lo, mn, py))
+        py = np.minimum.reduceat(maskpay, local_starts, axis=1)
+        parts.append((seg_lo, mn, (py,)))
     return parts
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tree_min_combine_matches_reduceat(shards, seed):
+    """Relaxation partials of a row block combine to the serial answer.
+
+    Small integer-valued candidates force plenty of exact ties, random
+    segment cuts put boundaries inside segments (straddling), and the
+    rows of one block are drawn independently, so they tie differently at
+    each straddling cell: some rows keep the left shard's cell on a value
+    tie, others must take the right shard's smaller tail.  The one-row
+    block is the single-source round.
+    """
     rng = np.random.default_rng(seed)
     n = 200
-    # small integer-valued candidates force plenty of exact ties, and
-    # random segment cuts put boundaries inside segments (straddling)
-    cand = rng.integers(0, 5, size=n).astype(np.float64)
     tails = rng.integers(0, 50, size=n).astype(np.int64)
     k = 17
     cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
     seg_start = np.concatenate(([0], cuts)).astype(np.int64)
-
-    ref_mn = np.minimum.reduceat(cand, seg_start)
     seg_len = np.diff(np.concatenate((seg_start, [n])))
-    ref_mask = np.where(cand == np.repeat(ref_mn, seg_len), tails, _INT64_MAX)
-    ref_py = np.minimum.reduceat(ref_mask, seg_start)
+    for rows in (1, 6):
+        cand = rng.integers(0, 5, size=(rows, n)).astype(np.float64)
+        ref_mn = np.minimum.reduceat(cand, seg_start, axis=1)
+        ref_mask = np.where(
+            cand == np.repeat(ref_mn, seg_len, axis=1), tails, _INT64_MAX
+        )
+        ref_py = np.minimum.reduceat(ref_mask, seg_start, axis=1)
 
-    parts = _shard_partials(cand, tails, seg_start, shard_bounds(n, shards))
-    lo, mn, py = tree_min_combine(parts)
-    assert lo == 0
-    assert np.array_equal(mn, ref_mn)
-    assert np.array_equal(py, ref_py)
+        parts = _shard_partials(cand, tails, seg_start, shard_bounds(n, shards))
+        lo, mn, (py,) = shard_min_combine(parts)
+        assert lo == 0
+        assert np.array_equal(mn, ref_mn), rows
+        assert np.array_equal(py, ref_py), rows
 
 
 @pytest.mark.parametrize("nkeys", [1, 2, 3])
 @pytest.mark.parametrize("shards", [1, 2, 3, 5])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_entry_tree_combine_matches_serial_stages(nkeys, shards, seed):
-    """Per-shard staged entry minima + the tree combine equal the serial
+    """Per-shard staged entry minima + the shard combine equal the serial
     staged reduction for any tuple of tie keys — including a unique last
     key (the row position path tables append), under heavy ties and
     segments straddling the shard cuts."""
@@ -189,7 +197,7 @@ def test_entry_tree_combine_matches_serial_stages(nkeys, shards, seed):
         local_starts = np.maximum(seg_start[seg_lo:seg_hi], lo) - lo
         gd, mins = _entry_partial(dist[lo:hi], tuple(k[lo:hi] for k in keys), local_starts)
         parts.append((seg_lo, gd, mins))
-    lo, gd, mins = entry_tree_combine(parts)
+    lo, gd, mins = shard_min_combine(parts)
     assert lo == 0
     assert np.array_equal(gd, ref_d)
     assert len(mins) == nkeys
@@ -198,19 +206,20 @@ def test_entry_tree_combine_matches_serial_stages(nkeys, shards, seed):
 
 
 def test_tree_min_combine_single_part_copies():
-    mn = np.array([1.0, 2.0])
-    py = np.array([3, 4], dtype=np.int64)
-    _, out_mn, out_py = tree_min_combine([(0, mn, py)])
+    mn = np.array([[1.0, 2.0]])
+    py = np.array([[3, 4]], dtype=np.int64)
+    _, out_mn, (out_py,) = shard_min_combine([(0, mn, (py,))])
     assert not np.shares_memory(out_mn, mn) and not np.shares_memory(out_py, py)
+    assert np.array_equal(out_mn, mn) and np.array_equal(out_py, py)
 
 
 def test_tree_min_combine_rejects_gaps():
-    a = (0, np.array([1.0]), np.array([0], dtype=np.int64))
-    b = (5, np.array([1.0]), np.array([0], dtype=np.int64))
+    a = (0, np.array([1.0]), (np.array([0], dtype=np.int64),))
+    b = (5, np.array([1.0]), (np.array([0], dtype=np.int64),))
     with pytest.raises(InvalidStepError):
-        tree_min_combine([a, b])
+        shard_min_combine([a, b])
     with pytest.raises(InvalidStepError):
-        tree_min_combine([])
+        shard_min_combine([])
 
 
 # -- backend behaviour on a live machine -------------------------------------
@@ -348,7 +357,7 @@ def test_base_backend_contract():
     base = ExecutionBackend()
     indptr = np.array([0, 2, 3, 3], dtype=np.int64)
     frontier = np.array([0, 1], dtype=np.int64)
-    slots, arcs = base.gather_csr(indptr, frontier)
+    slots, arcs = serial_gather_csr(indptr, frontier)
     assert np.array_equal(slots, [0, 0, 1])
     assert np.array_equal(arcs, [0, 1, 2])
     base.close()  # no-op

@@ -4,9 +4,10 @@ Pins the tentpole contracts of docs/observability.md ("cross-process
 telemetry"): per-worker stats rows merge into the registry with a sane
 wall-split, per-worker wall never exceeds the backend's round wall, the
 Chrome exporter gains one lane per worker next to the parent lane,
-fallbacks carry a structured reason label, and — the backend contract —
-outputs and charged costs are bit-identical with worker stats enabled,
-disabled, or with no hooks attached at all.
+fallbacks carry a structured reason label, the health report counts
+every sharded round (solo and batched alike), and — the backend contract
+— outputs and charged costs are bit-identical with a registry attached,
+with no hooks attached at all, and on the serial backend.
 """
 
 import os
@@ -19,9 +20,10 @@ from repro.obs.export import backend_health_report, to_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SpanTracer
 from repro.pram.backends import SerialBackend, ShardedBackend
-from repro.pram.backends.sharded import worker_stats_enabled
 from repro.pram.machine import PRAM
+from repro.pram.workspace import Workspace
 from repro.sssp.bellman_ford import bellman_ford
+from repro.sssp.mssp import explore_batch
 
 
 def _graph():
@@ -43,16 +45,6 @@ def _instrumented_run(be):
 def _counter(registry, name):
     c = registry.counters.get(name)
     return c.value if c is not None else 0
-
-
-def test_worker_stats_env_toggle(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKER_STATS", raising=False)
-    assert worker_stats_enabled()
-    for off in ("0", "false", "OFF", "no"):
-        monkeypatch.setenv("REPRO_WORKER_STATS", off)
-        assert not worker_stats_enabled()
-    monkeypatch.setenv("REPRO_WORKER_STATS", "1")
-    assert worker_stats_enabled()
 
 
 def test_worker_metrics_merge_with_sane_wall_split():
@@ -124,26 +116,58 @@ def test_chrome_trace_gains_one_lane_per_worker():
         be.close()
 
 
-def test_outputs_and_costs_identical_stats_on_off(monkeypatch):
+def test_outputs_and_costs_identical_stats_on_off():
+    """Merging the stats rows (a registry attached) never moves a bit.
+
+    Three runs: sharded with a registry attached (the rows are merged),
+    sharded with no hooks (the rows are written but never read), and
+    serial.  Outputs and charged costs must be bit-identical.
+    """
     g = _graph()
     runs = {}
-    for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_WORKER_STATS", mode)
+    for mode in ("registry", "no-hooks"):
         be = ShardedBackend(workers=2, min_arcs=1)
         try:
             pram = PRAM(backend=be)
+            registry = None
+            if mode == "registry":
+                registry = MetricsRegistry.attach(pram.cost)
             res = bellman_ford(pram, g, 0, g.n - 1)
-            assert be.sharded_rounds > 0
+            if registry is not None:
+                registry.detach(pram.cost)
+                assert _counter(registry, "primitive.backend.round_wall_ns.calls")
+            assert be.sharded_rounds > 0 and not be.failed
             runs[mode] = (res, pram.cost.snapshot())
         finally:
             be.close()
-    serial = bellman_ford(PRAM(backend=SerialBackend()), g, 0, g.n - 1)
-    (on, on_cost), (off, off_cost) = runs["1"], runs["0"]
-    assert np.array_equal(on.dist, off.dist)
-    assert np.array_equal(on.parent, off.parent)
-    assert np.array_equal(serial.dist, on.dist)
-    assert np.array_equal(serial.parent, on.parent)
-    assert (on_cost.work, on_cost.depth) == (off_cost.work, off_cost.depth)
+    pram = PRAM(backend=SerialBackend())
+    runs["serial"] = (bellman_ford(pram, g, 0, g.n - 1), pram.cost.snapshot())
+    ref, ref_cost = runs["serial"]
+    for mode in ("registry", "no-hooks"):
+        res, cost = runs[mode]
+        assert np.array_equal(ref.dist, res.dist), mode
+        assert np.array_equal(ref.parent, res.parent), mode
+        assert (cost.work, cost.depth) == (ref_cost.work, ref_cost.depth), mode
+
+
+def test_health_report_counts_batched_sharded_rounds():
+    """Every sharded round — here S×V row blocks — shows in the report."""
+    g = _graph()
+    be = ShardedBackend(workers=2, min_arcs=1)
+    try:
+        obs = PRAM().cost
+        registry = MetricsRegistry.attach(obs)
+        explore_batch(
+            g, np.arange(16), 4, workspace=Workspace(), backend=be, obs_cost=obs
+        )
+        registry.detach(obs)
+        assert be.sharded_rounds > 0 and not be.failed
+        assert _counter(registry, "primitive.backend.round.calls") == be.sharded_rounds
+        report = backend_health_report(registry)
+        line = next(r for r in report.splitlines() if r.startswith("sharded rounds"))
+        assert line.split()[-1] == str(be.sharded_rounds), report
+    finally:
+        be.close()
 
 
 def test_no_hooks_means_no_merge_but_round_log_still_fills():
@@ -212,3 +236,30 @@ def test_health_report_empty_without_backend_traffic():
     bellman_ford(pram, g, 0, g.n - 1)
     reg.detach(pram.cost)
     assert backend_health_report(reg) == ""
+
+
+def test_health_report_counts_entry_rounds():
+    """Entry rounds of a hopset build show, sharded and serial alike."""
+    from repro.hopsets.multi_scale import build_hopset
+    from repro.hopsets.params import HopsetParams
+
+    g = erdos_renyi(40, 0.15, seed=3)
+    params = HopsetParams(epsilon=0.25, beta=8)
+    for min_entry_rows, label in ((1, "sharded entry rounds"),
+                                  (10**9, "serial entry rounds (min-rows)")):
+        be = ShardedBackend(workers=2, min_entry_rows=min_entry_rows)
+        try:
+            pram = PRAM(backend=be)
+            registry = MetricsRegistry.attach(pram.cost)
+            build_hopset(g, params, pram=pram)
+            registry.detach(pram.cost)
+            assert not be.failed
+            want = be.sharded_entry_rounds if min_entry_rows == 1 else (
+                be.serial_entry_rounds
+            )
+            assert want > 0
+            report = backend_health_report(registry)
+            line = next(r for r in report.splitlines() if r.startswith(label))
+            assert line.split()[-1] == str(want), report
+        finally:
+            be.close()

@@ -25,7 +25,7 @@ def test_serve_probe_answers_and_prints_stats(artifacts, capsys):
 
 
 def test_serve_probe_mssp_block_loop_matches_matrix(artifacts, capsys):
-    """--mssp-block 1 (per-source loop) serves the identical reply."""
+    """--mssp-block 1 (one source per matrix pass) serves the identical reply."""
     g, h = artifacts
     probes = ["--probe", "dist 0 5", "--probe", "dist 3 7"]
     assert main(["serve", str(g), str(h), *probes]) == 0
@@ -44,7 +44,10 @@ def test_serve_probe_mssp_block_loop_matches_matrix(artifacts, capsys):
 
 @pytest.mark.parametrize(
     "flag, value, least",
-    [("--max-batch", "0", 1), ("--cache-size", "0", 1), ("--pair-cache", "-1", 0)],
+    [
+        ("--max-batch", "0", 1), ("--cache-size", "0", 1), ("--pair-cache", "-1", 0),
+        ("--mssp-block", "0", 1),
+    ],
 )
 def test_serve_rejects_bad_sizes_as_usage_errors(artifacts, capsys, flag, value, least):
     """A bad size is a usage error (exit 2, one line), not a traceback."""

@@ -12,10 +12,10 @@ writing it produces loudly wrong output.
 
 Also pinned: shadowed rows (a strict CREW race detector attached to one
 row's cost model) transparently delegate to the solo kernel and stay
-clean; ``approximate_mssd`` produces the same result matrix through the
-matrix engine as through the per-source loop; the ``REPRO_MSSP`` knob
-parses as documented; and the registered ``relax_arcs_batch``
-conformance runner passes strict.
+clean; ``approximate_mssd`` at every block width produces the result
+matrix and the composed charges of per-source dense ``bellman_ford``
+runs; block widths below 1 are rejected; and the registered
+``relax_arcs_batch`` conformance runner passes strict.
 """
 
 from __future__ import annotations
@@ -34,11 +34,7 @@ from repro.pram.errors import InvalidStepError
 from repro.pram.machine import PRAM
 from repro.pram.workspace import Workspace
 from repro.sssp.bellman_ford import bellman_ford
-from repro.sssp.mssp import (
-    DEFAULT_MSSP_BLOCK,
-    explore_batch,
-    mssp_block_default,
-)
+from repro.sssp.mssp import DEFAULT_MSSP_BLOCK, explore_batch
 
 _N = 24
 _SEED = 13
@@ -167,88 +163,105 @@ def test_explore_batch_input_validation():
         explore_batch(g, np.array([0, 1]), _BETA, costs=[CostModel()])
 
 
-# -- the REPRO_MSSP knob ------------------------------------------------------
+# -- the block width ---------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "raw,expected",
-    [
-        ("", DEFAULT_MSSP_BLOCK), ("on", DEFAULT_MSSP_BLOCK),
-        ("matrix", DEFAULT_MSSP_BLOCK), ("batch", DEFAULT_MSSP_BLOCK),
-        ("off", 0), ("loop", 0), ("none", 0),
-        ("7", 7), ("1", 1), ("0", 0),
-    ],
-)
-def test_mssp_block_default_parses(monkeypatch, raw, expected):
-    monkeypatch.setenv("REPRO_MSSP", raw)
-    assert mssp_block_default() == expected
+def test_mssp_block_default_unset_is_default():
+    """Every call site that is not given a width uses DEFAULT_MSSP_BLOCK."""
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.serve.server import OracleServer
+    from repro.sssp.multi_source import approximate_mssd
+    from repro.sssp.oracle import HopsetDistanceOracle
+
+    assert DEFAULT_MSSP_BLOCK == 32
+    for fn, name in ((approximate_mssd, "block"),
+                     (HopsetDistanceOracle, "mssp_block"),
+                     (OracleServer, "mssp_block")):
+        assert inspect.signature(fn).parameters[name].default == DEFAULT_MSSP_BLOCK
+    args = build_parser().parse_args(["oracle", "g.npz", "h.npz"])
+    assert args.mssp_block == DEFAULT_MSSP_BLOCK
 
 
-def test_mssp_block_default_unset_is_default(monkeypatch):
-    monkeypatch.delenv("REPRO_MSSP", raising=False)
-    assert mssp_block_default() == DEFAULT_MSSP_BLOCK
+@pytest.mark.parametrize("raw", [0, -3, 3.5, "junk"])
+def test_mssp_block_default_rejects_garbage(raw):
+    """A block width must be an integer S >= 1; 0 is rejected like -3."""
+    from repro.sssp.multi_source import approximate_mssd
+    from repro.sssp.oracle import HopsetDistanceOracle
 
-
-@pytest.mark.parametrize("raw", ["junk", "-3", "3.5"])
-def test_mssp_block_default_rejects_garbage(monkeypatch, raw):
-    monkeypatch.setenv("REPRO_MSSP", raw)
+    g, H = _layered_hopset()
     with pytest.raises(InvalidStepError):
-        mssp_block_default()
+        approximate_mssd(g, H, np.arange(3), block=raw)
+    with pytest.raises(InvalidStepError):
+        HopsetDistanceOracle(g, H, mssp_block=raw)
 
 
 # -- call-site equivalence ----------------------------------------------------
 
 
-def _mssd(block, **kw):
+@lru_cache(maxsize=None)
+def _layered_hopset():
     from repro.hopsets.multi_scale import build_hopset
     from repro.hopsets.params import HopsetParams
-    from repro.sssp.multi_source import approximate_mssd
 
     g = _graph("layered")
     H, _ = build_hopset(g, HopsetParams(epsilon=0.25, beta=8))
+    return g, H
+
+
+def _mssd(block):
+    from repro.sssp.multi_source import approximate_mssd
+
+    g, H = _layered_hopset()
     pram = PRAM()
-    res = approximate_mssd(g, H, np.arange(10), pram=pram, block=block, **kw)
+    res = approximate_mssd(g, H, np.arange(10), pram=pram, block=block)
     return res, pram.cost
+
+
+def _per_source(engine):
+    """One ``bellman_ford`` per source, composed the way aMSSD composes
+    them: sum of work, max of depth, charged once under an ``mssd`` phase
+    of the outer machine."""
+    g, H = _layered_hopset()
+    union = H.union_graph(g)
+    budget = min(2 * H.beta + 1, max(g.n - 1, 1))
+    outer = PRAM()
+    dist = np.empty((10, g.n))
+    parent = np.empty((10, g.n), dtype=np.int64)
+    work = depth = 0
+    for row in range(10):
+        local = PRAM(CostModel(), workspace=outer.workspace)
+        bf = bellman_ford(local, union, row, budget, engine=engine)
+        dist[row], parent[row] = bf.dist, bf.parent
+        work += local.cost.work
+        depth = max(depth, local.cost.depth)
+    with outer.phase("mssd"):
+        outer.charge(work=work, depth=depth, label="mssd")
+    return dist, parent, work, depth, outer.cost
 
 
 @pytest.mark.parametrize("block", [1, 4, 32], ids=lambda b: f"block{b}")
 def test_mssd_matrix_equals_loop_bit_exactly(block):
-    # engine="dense" on both sides: the loop then runs the exact schedule
-    # the matrix replays, so charges — not just outputs — must be bit-equal
-    loop, loop_cost = _mssd(0, engine="dense")   # block=0: per-source loop
-    mat, mat_cost = _mssd(block, engine="dense")
-    assert np.array_equal(loop.dist, mat.dist)
-    assert np.array_equal(loop.parent, mat.parent)
-    assert (mat.work, mat.depth) == (loop.work, loop.depth)
+    # every matrix row replays a solo dense run, so charges — not just
+    # outputs — must equal per-source dense bellman_ford runs
+    dist, parent, work, depth, loop_cost = _per_source("dense")
+    mat, mat_cost = _mssd(block)
+    assert np.array_equal(dist, mat.dist)
+    assert np.array_equal(parent, mat.parent)
+    assert (mat.work, mat.depth) == (work, depth)
     assert (mat_cost.work, mat_cost.depth) == (loop_cost.work, loop_cost.depth)
     assert dict(mat_cost.phase_totals) == dict(loop_cost.phase_totals)
 
 
 def test_mssd_auto_engine_keeps_outputs_exact():
-    """Under the default auto engine the matrix changes *charges* (it
-    replays the dense schedule — documented in docs/mssp.md), but the
-    distance/parent matrices stay bit-identical to the loop."""
-    loop, _ = _mssd(0)
+    """Per-source runs under the default auto engine charge differently
+    (the matrix replays the dense schedule — documented in docs/mssp.md),
+    but the distance/parent matrices are bit-identical."""
+    dist, parent, *_ = _per_source("auto")
     mat, _ = _mssd(8)
-    assert np.array_equal(loop.dist, mat.dist)
-    assert np.array_equal(loop.parent, mat.parent)
-
-
-def test_mssd_sparse_engine_falls_back_to_loop():
-    """An explicit sparse engine bypasses the matrix (it replays dense only)."""
-    a, _ = _mssd(8, engine="sparse")
-    b, _ = _mssd(0, engine="sparse")
-    assert np.array_equal(a.dist, b.dist)
-    assert (a.work, a.depth) == (b.work, b.depth)
-
-
-def test_mssd_env_knob_flips_the_default(monkeypatch):
-    monkeypatch.setenv("REPRO_MSSP", "off")
-    loop, _ = _mssd(None, engine="dense")
-    monkeypatch.setenv("REPRO_MSSP", "4")
-    mat, _ = _mssd(None, engine="dense")
-    assert np.array_equal(loop.dist, mat.dist)
-    assert (loop.work, loop.depth) == (mat.work, mat.depth)
+    assert np.array_equal(dist, mat.dist)
+    assert np.array_equal(parent, mat.parent)
 
 
 # -- the registered conformance runner ----------------------------------------
