@@ -16,7 +16,9 @@ the two numbers the engine's default exists to justify:
   grouped pre-explore (``mssp_block`` default) against one at width 1,
   so every micro-batch explores source-by-source.  Cold QPS is where
   grouping pays (each micro-batch's distinct uncached sources become one
-  S×V pass); warm QPS should be unchanged (caches answer).
+  S×V pass); warm QPS should be unchanged (caches answer).  Each mode
+  also records its batched rounds by direction (``push_rounds`` /
+  ``pull_rounds``, ``docs/mssp.md``).
 
 Wall figures feed the perf ledger via ``record_obs``; correctness
 columns are the acceptance criteria.
@@ -168,12 +170,15 @@ def serve_sweep():
                 "warm_qps": round(len(lines) / max(warm_wall, 1e-12), 1),
                 "matrix_passes": info["matrix_passes"],
                 "tier2_explorations": info["tier2_explorations"],
+                "push_rounds": info["push_rounds"],
+                "pull_rounds": info["pull_rounds"],
             }
         finally:
             server.close()
         modes[mode] = rec
         rows.append([mode, f"{rec['cold_qps']:.0f}", f"{rec['warm_qps']:.0f}",
-                     rec["matrix_passes"], rec["bit_exact"]])
+                     rec["matrix_passes"], rec["push_rounds"],
+                     rec["pull_rounds"], rec["bit_exact"]])
         record_obs(f"e26/serve/{mode}", cold_qps=rec["cold_qps"],
                    warm_qps=rec["warm_qps"])
     modes["cold_qps_delta"] = round(
@@ -232,6 +237,14 @@ def test_e26_matrix_mode_groups_the_batches():
     )
 
 
+def test_e26_matrix_serve_pushes_some_rounds():
+    _, serve = serve_sweep()
+    # the matrix server's wide blocks relax only the frontier's out-arcs in
+    # their first and last rounds; the middle rounds pull every arc
+    assert serve["matrix"]["push_rounds"] > 0
+    assert serve["matrix"]["pull_rounds"] > 0
+
+
 def test_e26_json_written_and_parses():
     write_bench()
     exps = json.loads(OUT_PATH.read_text())["experiments"]
@@ -254,7 +267,8 @@ def test_e26_table(benchmark):
     emit(
         f"E26b: serving with grouped matrix pre-explore "
         f"({_N_QUERIES} queries, batch {_BATCH})",
-        ["mode", "cold qps", "warm qps", "matrix passes", "bit exact"],
+        ["mode", "cold qps", "warm qps", "matrix passes", "push rounds",
+         "pull rounds", "bit exact"],
         serve_rows,
     )
     g, H = _workload()

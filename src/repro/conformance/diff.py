@@ -30,6 +30,7 @@ race scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -599,6 +600,97 @@ def _diff_relax_arcs_batch(case, seed, strict):
                     shadow, rounds, rounds <= costs[0].depth + 4)
 
 
+def _symmetric_csr(tails, heads, weights, n_cells: int) -> SimpleNamespace:
+    """The case's arcs in both directions, as a symmetric CSR graph view.
+
+    Row ``x`` lists every arc ``x → y`` of the symmetrized list with its
+    weight, so — like an undirected :class:`Graph` — each edge's two slots
+    share one weight and the plan built from it has an out-arc layout.
+    """
+    u = np.concatenate([tails, heads])
+    v = np.concatenate([heads, tails])
+    w = np.concatenate([weights, weights])
+    order = np.lexsort((v, u))
+    indptr = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n_cells), out=indptr[1:])
+    return SimpleNamespace(
+        n=n_cells, indptr=indptr, indices=v[order], weights=w[order]
+    )
+
+
+def _diff_relax_arcs_push(case, seed, strict):
+    """A push round of the batched relaxation vs two literal CREW rounds.
+
+    The case's arcs, symmetrized into a CSR graph, give a plan with an
+    out-arc layout.  One pull round on the case inputs, then a round with
+    the direction rule pinned to push from each row's improved cells,
+    must equal two applications of ``crew_relax_arcs_batch``; every row's
+    dist/parent and charged (work, depth) must equal two solo
+    ``prelax_arcs`` rounds; and the second round must really have pushed.
+    Row 0 runs under the shadow detector, so it takes the solo path in
+    both rounds while rows 1 and 2 push: the mixed round.
+    """
+    dist, parent, tails, heads, weights = _relax_inputs(case, seed)
+    n_cells = int(dist.size)
+    graph = _symmetric_csr(tails, heads, weights, n_cells)
+    plan = primitives.build_relax_plan_from_csr(graph)
+    arcs = (np.repeat(np.arange(n_cells), np.diff(graph.indptr)),
+            graph.indices, graph.weights)
+    rows = 3
+    dist_m = np.stack([np.roll(dist, r) for r in range(rows)])
+    parent_m = np.stack([parent.copy() for _ in range(rows)])
+    solo_d, solo_p = dist_m.copy(), parent_m.copy()
+    ws = Workspace(poison=True)  # poisoned pool: stale reuse would surface
+    costs = [CostModel() for _ in range(rows)]
+    frontier = primitives.BlockFrontier([None] * rows)  # the first round pulls
+    shadow = ShadowCREW.attach(costs[0], strict=strict)
+    saved = primitives.PUSH_ARC_COST, primitives.PUSH_FIXED_COST
+    try:
+        first = primitives.prelax_arcs_batch(
+            costs, dist_m, parent_m, plan=plan, frontier=frontier, workspace=ws,
+        )
+        primitives.PUSH_ARC_COST, primitives.PUSH_FIXED_COST = 0, 0
+        second = primitives.prelax_arcs_batch(
+            costs, dist_m, parent_m, plan=plan, frontier=frontier, workspace=ws,
+        )
+    finally:
+        primitives.PUSH_ARC_COST, primitives.PUSH_FIXED_COST = saved
+        shadow.detach(costs[0])
+    lit = ([np.roll(dist, r).tolist() for r in range(rows)],
+           [parent.tolist() for _ in range(rows)])
+    lit_rounds = 0
+    lit_any = []
+    for _ in range(2):
+        *lit, changed, r = reference.crew_relax_arcs_batch(
+            *lit, *(x.tolist() for x in arcs)
+        )
+        lit_any.append(changed)
+        lit_rounds += r
+    batched = 1 if plan.n_arcs else 0
+    equal = (
+        np.array_equal(dist_m, np.asarray(lit[0]))
+        and np.array_equal(parent_m, np.asarray(lit[1]))
+        and np.array_equal(first, np.asarray(lit_any[0], dtype=bool))
+        and np.array_equal(second, np.asarray(lit_any[1], dtype=bool))
+        and (frontier.pull_rounds, frontier.push_rounds) == (batched, batched)
+    )
+    for r in range(rows):
+        solo_cost = CostModel()
+        for _ in range(2):
+            primitives.prelax_arcs(
+                solo_cost, solo_d[r], solo_p[r], None, None, None,
+                plan=plan, workspace=ws, changed="any",
+            )
+        equal = equal and (
+            np.array_equal(solo_d[r], dist_m[r])
+            and np.array_equal(solo_p[r], parent_m[r])
+            and (solo_cost.work, solo_cost.depth) == (costs[r].work, costs[r].depth)
+        )
+    # literal pays load + merge + flag rounds on top of each combine tree
+    return _outcome("relax_arcs_push", case, plan.n_arcs, equal, costs[0],
+                    shadow, lit_rounds, lit_rounds <= costs[0].depth + 8)
+
+
 def _tie_range(case: str, hi: int) -> int:
     """Id range of the entry cases' tie columns: {0, 1} where rows tie."""
     return 2 if case in ("duplicate-index", "all-ties") else hi
@@ -768,6 +860,7 @@ PRIMITIVE_DIFFS: dict[str, Callable[[str, int, bool], DiffOutcome]] = {
     "gather_csr": _diff_gather_csr,
     "relax_arcs": _diff_relax_arcs,
     "relax_arcs_batch": _diff_relax_arcs_batch,
+    "relax_arcs_push": _diff_relax_arcs_push,
     "prune_entries": _diff_prune_entries,
     "aggregate_entries": _diff_aggregate_entries,
     "sort": _diff_sort,

@@ -125,6 +125,9 @@ def scan_bench_dir(bench_dir: str | Path) -> list[tuple[str, dict]]:
 
     Reads every ``BENCH_*.json`` (the ``.jsonl`` history itself is skipped),
     one bench id per top-level experiment: ``<stem-without-BENCH_>:<key>``.
+    A ``host`` experiment describes the recording machine (its core
+    count), not a measurement, so it yields no bench id — each record's
+    fingerprint already carries the host.
     """
     pairs: list[tuple[str, dict]] = []
     for path in sorted(Path(bench_dir).glob("BENCH_*.json")):
@@ -132,7 +135,8 @@ def scan_bench_dir(bench_dir: str | Path) -> list[tuple[str, dict]]:
         experiments = doc.get("experiments", {})
         suite = path.stem[len("BENCH_"):]
         for key in sorted(experiments):
-            pairs.append((f"{suite}:{key}", flatten_metrics(experiments[key])))
+            if key != "host":
+                pairs.append((f"{suite}:{key}", flatten_metrics(experiments[key])))
     return pairs
 
 

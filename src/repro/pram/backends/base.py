@@ -43,6 +43,7 @@ __all__ = [
     "backend_default",
     "serial_gather_csr",
     "serial_segmin_batch",
+    "serial_push_min",
     "serial_entry_segmin",
 ]
 
@@ -115,6 +116,66 @@ def serial_segmin_batch(
     winpay = take("relax.winpay", rows * k, np.int64).reshape(rows, k)
     np.minimum.reduceat(maskpay, seg_start, axis=1, out=winpay)
     return cand, segmin, winpay, achieving
+
+
+def serial_push_min(
+    dist_block: np.ndarray,
+    frontier_rows: np.ndarray,
+    frontier: np.ndarray,
+    starts: np.ndarray,
+    deg: np.ndarray,
+    heads_csr: np.ndarray,
+    weights_csr: np.ndarray,
+    take,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The improved cells of a push round over a row block — in process.
+
+    The numeric core of a push relaxation round (``docs/mssp.md``,
+    "Direction per round"): only the out-arcs of each row's frontier are
+    relaxed.  ``frontier`` lists the frontier vertices of every row back to
+    back and ``frontier_rows`` the block row of each; vertex ``v``'s
+    out-arcs are the CSR slots ``starts[i] .. starts[i] + deg[i]`` of
+    ``heads_csr``/``weights_csr``.  Candidates ``dist_block[r, v] + w``
+    come from the round-start block, as in a pull round.  Per (row, head)
+    the minimum candidate wins when strictly below the incumbent, and the
+    payload is the minimum tail among the improving arcs achieving it —
+    the pull round's rule, so both directions improve the same cells to
+    the same values and payloads.  Cost charging stays with the caller;
+    scratch comes from ``take(name, size, dtype)``, and every scratch cell
+    the round reads it has written first (``push.pay`` only at the
+    improved cells), so a poisoned pool stays invisible.
+
+    Returns ``(cells, vals, pays)``: the improved cells as ascending flat
+    indices ``row * n + head`` into the block, their values and payloads.
+    """
+    n = int(dist_block.shape[1])
+    flat = dist_block.reshape(-1)
+    total = int(deg.sum())
+    # the CSR slots of every frontier vertex's out-arcs, back to back
+    ends = np.cumsum(deg)
+    arcs = np.arange(total, dtype=np.int64)
+    arcs += np.repeat(starts - (ends - deg), deg)
+    keys = np.repeat(frontier_rows * n, deg)  # row offsets, then + head
+    tails = np.repeat(frontier, deg)
+    cand = flat[keys + tails]
+    cand += weights_csr[arcs]
+    keys += heads_csr[arcs]
+    del arcs
+    # only arcs strictly below their incumbent can change a cell (one
+    # filter at a time, so at most one extra arc-sized array is live)
+    improving = cand < flat[keys]
+    keys = keys[improving]
+    cand = cand[improving]
+    tails = tails[improving]
+    best = take("push.best", flat.size, np.float64)
+    np.copyto(best, flat)
+    np.minimum.at(best, keys, cand)
+    cells = np.flatnonzero(best < flat)
+    achieving = cand == best[keys]
+    pay = take("push.pay", flat.size, np.int64)
+    pay[cells] = _INT64_MAX
+    np.minimum.at(pay, keys[achieving], tails[achieving])
+    return cells, best[cells], pay[cells]
 
 
 def serial_entry_segmin(

@@ -44,6 +44,7 @@ import numpy as np
 from repro.pram.backends.base import (
     serial_entry_segmin,
     serial_gather_csr,
+    serial_push_min,
     serial_segmin_batch,
 )
 from repro.pram.cost import CostModel
@@ -65,6 +66,9 @@ __all__ = [
     "pgather_csr",
     "pgather_add",
     "RelaxPlan",
+    "BlockFrontier",
+    "PUSH_ARC_COST",
+    "PUSH_FIXED_COST",
     "build_relax_plan",
     "build_relax_plan_from_csr",
     "prelax_arcs",
@@ -397,15 +401,23 @@ class RelaxPlan:
     also carries its round-scratch bundle (``scratch``, sizes are fixed by
     the arc layout), so a pooled round performs zero allocations and a
     single attribute load instead of one pool lookup per temporary.
+
+    A plan derived from a symmetric CSR graph
+    (:func:`build_relax_plan_from_csr`) also keeps the graph's ``indptr``:
+    vertex ``v``'s in-arcs are CSR row ``v``, and so — one weight per
+    edge, shared by both slots — are its out-arcs, heads
+    ``tails_s[indptr[v]:indptr[v + 1]]`` with the same weight entries.
+    That is the out-arc layout push rounds of :func:`prelax_arcs_batch`
+    read, at no copy.  Other plans keep ``indptr=None`` and never push.
     """
 
     __slots__ = (
         "n_arcs", "n_cells", "tails_s", "weights_s", "heads_s",
-        "cells", "seg_start", "seg_id", "scratch",
+        "cells", "seg_start", "seg_id", "indptr", "scratch",
     )
 
     def __init__(self, n_arcs, n_cells, tails_s, weights_s, heads_s,
-                 cells, seg_start, seg_id) -> None:
+                 cells, seg_start, seg_id, indptr=None) -> None:
         self.n_arcs = n_arcs
         self.n_cells = n_cells
         self.tails_s = tails_s
@@ -414,6 +426,7 @@ class RelaxPlan:
         self.cells = cells
         self.seg_start = seg_start
         self.seg_id = seg_id
+        self.indptr = indptr
         self.scratch: dict[str, np.ndarray] | None = None
 
 
@@ -650,7 +663,8 @@ def build_relax_plan_from_csr(graph) -> RelaxPlan:
     an edge share one weight entry).  The plan equals
     ``build_relax_plan(*graph.arcs(), n_cells=graph.n)`` array-for-array,
     at O(n + m) cost — which is what lets the workspace hand out a fresh
-    plan per hopset scale without re-deriving the CSR layout.
+    plan per hopset scale without re-deriving the CSR layout.  It also
+    keeps ``indptr``, the out-arc layout of push rounds (:class:`RelaxPlan`).
     """
     indptr = graph.indptr
     deg = np.diff(indptr)
@@ -664,12 +678,70 @@ def build_relax_plan_from_csr(graph) -> RelaxPlan:
         cells=cells,
         seg_start=np.asarray(indptr[cells], dtype=np.int64),
         seg_id=np.repeat(np.arange(cells.size, dtype=np.int64), deg[cells]),
+        indptr=indptr,
     )
 
 
 #: Backend observability sink used when a batched round has no ``obs_cost``
 #: (traffic no-ops without subscribers; backends never *charge* any cost).
 _NULL_COST = CostModel()
+
+#: The direction rule of a batched round (``docs/mssp.md``, "Direction per
+#: round"): with ``T`` the total out-degree of the active rows' frontiers,
+#: ``a`` the rows in the block and ``m`` the arcs, a round pushes when
+#: ``PUSH_ARC_COST * T + PUSH_FIXED_COST <= a * m`` and pulls otherwise.
+#: ``PUSH_ARC_COST`` is a push's wall-clock per relaxed arc over a pull's
+#: per candidate; ``PUSH_FIXED_COST`` is a push's fixed cost, counted in
+#: pull candidates, including the frontier-degree sums that every round
+#: of a larger block pays; no smaller block sums them.  Both are measured
+#: by ``scripts/measure_crossover.py`` (tables in ``docs/mssp.md``).
+PUSH_ARC_COST = 1.73
+PUSH_FIXED_COST = 3742
+
+
+class BlockFrontier:
+    """The matrix engine's per-row frontiers and its direction tally.
+
+    ``rows[r]`` holds the vertices row ``r`` improved in its last round —
+    its source before the first — or ``None`` when unknown (a row that ran
+    the solo kernel, or a round on arbitrary inputs): a round that batches
+    such a row pulls.  :func:`prelax_arcs_batch` reads it to pick each
+    round's direction, overwrites it with every batched row's improved
+    cells, and tallies the batched rounds it ran in each direction
+    (``push_rounds`` / ``pull_rounds``) and the arcs they relaxed
+    (``push_arcs``: T per push; ``pull_arcs``: a · m per pull).
+    """
+
+    __slots__ = ("rows", "push_rounds", "pull_rounds", "push_arcs", "pull_arcs")
+
+    def __init__(self, rows: list[np.ndarray | None]) -> None:
+        self.rows = rows
+        self.push_rounds = self.pull_rounds = 0
+        self.push_arcs = self.pull_arcs = 0
+
+
+def _push_arcs(plan: RelaxPlan, frontier: BlockFrontier | None, rows, a: int):
+    """The gathered frontier of a round that should push, else ``None``.
+
+    Returns ``(frontier_rows, verts, starts, deg)`` — the block row and
+    CSR range of every frontier vertex — when the plan has an out-arc
+    layout, every batched row's frontier is known and the direction rule
+    picks a push; a block too small for any push (``a * m`` at most the
+    fixed cost) skips the gather.
+    """
+    work = a * plan.n_arcs
+    if frontier is None or plan.indptr is None or work <= PUSH_FIXED_COST:
+        return None
+    parts = [frontier.rows[r] for r in rows]
+    if any(f is None for f in parts):
+        return None
+    verts = parts[0] if a == 1 else np.concatenate(parts)
+    starts = plan.indptr[verts]
+    deg = plan.indptr[verts + 1] - starts
+    if PUSH_ARC_COST * int(deg.sum()) + PUSH_FIXED_COST > work:
+        return None
+    sizes = [f.size for f in parts]
+    return np.repeat(np.arange(a, dtype=np.int64), sizes), verts, starts, deg
 
 
 def prelax_arcs_batch(
@@ -679,6 +751,7 @@ def prelax_arcs_batch(
     *,
     plan: RelaxPlan,
     active: np.ndarray | None = None,
+    frontier: BlockFrontier | None = None,
     workspace=None,
     backend=None,
     obs_cost: CostModel | None = None,
@@ -692,18 +765,36 @@ def prelax_arcs_batch(
     row ``r`` advances exactly as ``prelax_arcs(costs[r], dist[r],
     parent[r], ..., plan=plan, changed="any")`` would — bit-identical
     distances, parents, *and charge stream* (same labels, work, depth,
-    traffic, committed rounds).  Execution differs only in wall-clock:
-    the candidate gather, both segment ``reduceat`` reductions, and the
-    payload min run once over the whole active row block
-    (:func:`~repro.pram.backends.base.serial_segmin_batch`, or the
-    backend's :meth:`~repro.pram.backends.base.ExecutionBackend.relax_segmin_batch`
-    when one is attached), instead of once per source.
+    traffic, committed rounds).  Execution differs only in wall-clock, and
+    runs over the whole active row block at once in one of two directions:
+
+    * **pull** — every arc: the candidate gather, both segment
+      ``reduceat`` reductions and the payload min
+      (:func:`~repro.pram.backends.base.serial_segmin_batch`, or the
+      backend's :meth:`~repro.pram.backends.base.ExecutionBackend.relax_segmin_batch`
+      when one is attached);
+    * **push** — only the out-arcs of each row's ``frontier``, the cells
+      that row improved in its previous round
+      (:func:`~repro.pram.backends.base.serial_push_min`, in process; a
+      push never reaches the backend).  An arc whose tail did not change
+      last round can neither improve its head nor tie an improving
+      candidate (``docs/frontier.md``), so a push improves exactly the
+      cells a pull would, to the same values and payloads.
+
+    A round pushes when its plan has an out-arc layout (a symmetric CSR
+    plan), a ``frontier`` is given with every batched row's cells known,
+    and ``PUSH_ARC_COST * T + PUSH_FIXED_COST <= a * m`` for ``T`` the
+    frontiers' total out-degree, ``a`` the batched rows and ``m`` the arcs;
+    otherwise it pulls.  Either way every batched row's improved cells
+    become its next frontier, and the round and the arcs it relaxed
+    (``T``, or ``a * m``) are tallied on the ``frontier``.
 
     ``active`` masks the rows still advancing — converged rows are
     skipped entirely and charge nothing, which is the matrix engine's
     per-source early exit.  Rows whose cost model wants write footprints
     (an attached race detector) always run the per-row in-process kernel,
-    exactly like shadowed rounds of :func:`prelax_arcs`.
+    exactly like shadowed rounds of :func:`prelax_arcs`; their frontier
+    becomes unknown.
 
     ``obs_cost`` is where backend observability traffic (shard sizes,
     worker wall times) is reported; per-row cost models only ever see the
@@ -738,6 +829,8 @@ def prelax_arcs_batch(
                 plan=plan, workspace=ws, backend=backend, changed="any",
                 label=label, changed_label=changed_label,
             )
+            if frontier is not None:
+                frontier.rows[r] = None
         else:
             batch_rows.append(r)
     if not batch_rows:
@@ -747,31 +840,57 @@ def prelax_arcs_batch(
     a = int(rows.size)
     dist_block = take("relaxb.dist", a * n_cells, np.float64).reshape(a, n_cells)
     np.take(dist, rows, axis=0, out=dist_block)
-    if backend is not None:
-        segmin, winpay = backend.relax_segmin_batch(plan, dist_block, take, cost=obs)
-    else:
-        _, segmin, winpay, _ = serial_segmin_batch(
-            dist_block, plan.tails_s, plan.weights_s, plan.seg_start, plan.seg_id,
-            take,
+    push = _push_arcs(plan, frontier, batch_rows, a)
+    if push is not None:
+        frontier_rows, verts, starts, deg = push
+        flat, vals, pays = serial_push_min(
+            dist_block, frontier_rows, verts, starts, deg,
+            plan.tails_s, plan.weights_s, take,
         )
-    cells = plan.cells
-    k = int(cells.size)
-    incumbent = take("relaxb.incumbent", a * k, np.float64).reshape(a, k)
-    np.take(dist_block, cells, axis=1, out=incumbent)
-    improve = take("relaxb.improve", a * k, bool).reshape(a, k)
-    np.less(segmin, incumbent, out=improve)
+        # the block's improved cells are ascending flat indices: split by row
+        bounds = np.searchsorted(flat, np.arange(a + 1) * n_cells).tolist()
+        imp_cells = flat % n_cells
+        frontier.push_rounds += 1
+        frontier.push_arcs += int(deg.sum())
+    else:
+        if backend is not None:
+            segmin, winpay = backend.relax_segmin_batch(
+                plan, dist_block, take, cost=obs
+            )
+        else:
+            _, segmin, winpay, _ = serial_segmin_batch(
+                dist_block, plan.tails_s, plan.weights_s, plan.seg_start,
+                plan.seg_id, take,
+            )
+        cells = plan.cells
+        k = int(cells.size)
+        incumbent = take("relaxb.incumbent", a * k, np.float64).reshape(a, k)
+        np.take(dist_block, cells, axis=1, out=incumbent)
+        improve = take("relaxb.improve", a * k, bool).reshape(a, k)
+        np.less(segmin, incumbent, out=improve)
+        if frontier is not None:
+            frontier.pull_rounds += 1
+            frontier.pull_arcs += a * n
     relax_work = n * max(1, ceil_log2(n))
     relax_depth = ceil_log2(n) + 2
     relax_reads = n * max(1, ceil_log2(n)) + 2 * n
     any_depth = ceil_log2(n_cells) + 1
     any_reads = 2 * max(n_cells - 1, 0)
     for i in range(a):
-        r = int(rows[i])
-        imp = improve[i]
-        improved_cells = cells[imp]
-        dist[r, improved_cells] = segmin[i][imp]
-        parent[r, improved_cells] = winpay[i][imp]
+        r = batch_rows[i]
+        if push is not None:
+            lo, hi = bounds[i], bounds[i + 1]
+            improved_cells = imp_cells[lo:hi]
+            dist[r, improved_cells] = vals[lo:hi]
+            parent[r, improved_cells] = pays[lo:hi]
+        else:
+            imp = improve[i]
+            improved_cells = cells[imp]
+            dist[r, improved_cells] = segmin[i][imp]
+            parent[r, improved_cells] = winpay[i][imp]
         changed_out[r] = bool(improved_cells.size)
+        if frontier is not None:
+            frontier.rows[r] = improved_cells
         # replay the exact per-source charge stream of prelax_arcs
         cost = costs[r]
         cost.charge(work=relax_work, depth=relax_depth, label=label)

@@ -5,9 +5,16 @@ once the hopset exists, S hop-bounded explorations are one *rectangular
 matrix* computation — an (S × V) distance/parent matrix advanced by one
 vectorized relaxation pass per round — rather than S independent scans
 of the same arc arrays.  :func:`explore_batch` is that engine: every
-round it runs :func:`repro.pram.primitives.prelax_arcs_batch` (one
-`RelaxPlan`-driven gather + combining-min over all still-active rows)
-and masks converged rows out of later rounds.
+round it runs :func:`repro.pram.primitives.prelax_arcs_batch` over all
+still-active rows and masks converged rows out of later rounds.  Each
+round picks a direction: it *pushes* (relaxes only the out-arcs of each
+row's frontier, the cells that row improved last round) when those arcs
+are few relative to the row block, and otherwise *pulls* (one
+`RelaxPlan`-driven gather + combining-min over every arc, through the
+execution backend).  The engine owns the frontiers
+(:class:`~repro.pram.primitives.BlockFrontier`), seeded with each row's
+source; ``docs/mssp.md`` ("Direction per round") gives the rule and why
+both directions compute the same round.
 
 **The determinism/accounting contract** (enforced by
 ``tests/sssp/test_mssp.py``): row r of the result — ``dist[r]``,
@@ -17,10 +24,11 @@ and masks converged rows out of later rounds.
 ``engine="dense"`` (the fused schedule), at every batch width and on
 every execution backend.  Each row carries its own
 :class:`~repro.pram.cost.CostModel`, and the batch kernel replays the
-solo per-row charge stream exactly — batching changes wall-clock only,
-never what any row is charged.  A row whose cost model carries a
-footprint hook (a shadow race detector) is transparently delegated to
-the solo kernel so its write-footprints stream out unchanged.
+solo per-row charge stream exactly, in either direction — batching and
+pushing change wall-clock only, never what any row is charged.  A row
+whose cost model carries a footprint hook (a shadow race detector) is
+transparently delegated to the solo kernel so its write-footprints
+stream out unchanged.
 
 The per-row schedule replayed here is ``bellman_ford``'s dense fused
 path: a ``bellman_ford`` subphase wrapping two ``bf_init`` broadcasts,
@@ -49,7 +57,7 @@ from repro.graphs.csr import Graph
 from repro.graphs.errors import VertexError
 from repro.pram.cost import CostModel
 from repro.pram.errors import InvalidStepError
-from repro.pram.primitives import pbroadcast, prelax_arcs_batch
+from repro.pram.primitives import BlockFrontier, pbroadcast, prelax_arcs_batch
 from repro.pram.workspace import Workspace
 
 __all__ = [
@@ -93,6 +101,8 @@ class BatchExploreResult:
     rounds_used: np.ndarray  # (S,) rounds each row executed before converging
     costs: list[CostModel]   # per-row charge stream, index-aligned with rows
     hop_budget: int
+    push_rounds: int         # batched rounds that relaxed frontier out-arcs
+    pull_rounds: int         # batched rounds that relaxed every arc
 
 
 def explore_batch(
@@ -111,6 +121,9 @@ def explore_batch(
     ``graph``; outputs and the charge stream of ``costs[r]`` are
     bit-identical to ``bellman_ford(PRAM(costs[r], ...), graph,
     sources[r], hops, engine="dense")`` — the module-docstring contract.
+    The result also counts the batched rounds by direction
+    (``push_rounds`` / ``pull_rounds``); unlike the per-row charges,
+    those counts depend on which rows were batched together.
 
     Parameters
     ----------
@@ -127,7 +140,10 @@ def explore_batch(
         ``None`` computes in-process.
     obs_cost:
         Optional cost model that receives backend *telemetry* traffic
-        (``backend.round`` …) — observability only, never charges.
+        (``backend.round`` …) and, once per exploration, the batched
+        rounds by direction: ``mssp.push_round`` / ``mssp.pull_round``
+        traffic with ``calls`` = rounds and ``elements`` = arcs relaxed —
+        observability only, never charges.
     out:
         Optional ``(dist, parent)`` matrices of shape (S, n) to fill in
         place (e.g. slices of a caller-owned result matrix).
@@ -167,6 +183,8 @@ def explore_batch(
             dist[r, src[r]] = 0.0
             parent[r, src[r]] = src[r]
         active = np.ones(n_rows, dtype=bool)
+        # every other cell is +inf, so a row's first frontier is its source
+        frontier = BlockFrontier([src[r:r + 1] for r in range(n_rows)])
         for _ in range(hops):
             if not active.any():
                 break
@@ -180,6 +198,7 @@ def explore_batch(
                 parent,
                 plan=plan,
                 active=active,
+                frontier=frontier,
                 workspace=ws,
                 backend=backend,
                 obs_cost=obs_cost,
@@ -189,6 +208,16 @@ def explore_batch(
             # A no-change round is charged (it is the convergence check);
             # the row then leaves the active set and stops charging.
             active &= changed
+    if obs_cost is not None:
+        # One event per direction and exploration, not per round: a round's
+        # event would cost an attached metrics registry about as much as
+        # the pushes save on small blocks.
+        for label, calls, arcs in (
+            ("mssp.push_round", frontier.push_rounds, frontier.push_arcs),
+            ("mssp.pull_round", frontier.pull_rounds, frontier.pull_arcs),
+        ):
+            if calls:
+                obs_cost.traffic(label, calls=calls, elements=arcs)
     return BatchExploreResult(
         sources=src,
         dist=dist,
@@ -196,4 +225,6 @@ def explore_batch(
         rounds_used=rounds,
         costs=costs,
         hop_budget=hops,
+        push_rounds=frontier.push_rounds,
+        pull_rounds=frontier.pull_rounds,
     )

@@ -124,6 +124,11 @@ class HopsetDistanceOracle:
         self.explorations = 0
         #: S×V matrix passes run (each explores >= 1 rows)
         self.matrix_passes = 0
+        #: batched relaxation rounds of those passes, by direction (push:
+        #: frontier out-arcs only; pull: every arc) — they depend on how
+        #: sources were grouped, unlike the charges
+        self.push_rounds = 0
+        self.pull_rounds = 0
         self.hits = 0
         #: tier-1 vector-cache misses (requested source not resident)
         self.misses = 0
@@ -197,6 +202,8 @@ class HopsetDistanceOracle:
                 obs_cost=self.pram.cost,
             )
             self.matrix_passes += 1
+            self.push_rounds += res.push_rounds
+            self.pull_rounds += res.pull_rounds
             # Fold the per-row charge streams into the oracle's machine
             # under the same subphase the rows charged themselves —
             # the aggregate equals |chunk| sequential solo explorations,
@@ -330,7 +337,10 @@ class HopsetDistanceOracle:
         β-hop explorations actually run; the historical aliases are kept
         alongside the explicitly-tiered names (``tier1_vector_misses``,
         ``tier2_explorations``) plus ``matrix_passes``, the number of
-        S×V matrix sweeps those explorations were grouped into.
+        S×V matrix sweeps those explorations were grouped into, and
+        ``push_rounds`` / ``pull_rounds``, their batched relaxation rounds
+        by direction (``docs/mssp.md``).  Like ``matrix_passes``, the
+        round counts depend on how sources were grouped.
         """
         return {
             "cached_sources": len(self._cache),
@@ -340,5 +350,7 @@ class HopsetDistanceOracle:
             "tier1_vector_misses": self.misses,
             "tier2_explorations": self.explorations,
             "matrix_passes": self.matrix_passes,
+            "push_rounds": self.push_rounds,
+            "pull_rounds": self.pull_rounds,
             "mssp_block": self.mssp_block,
         }

@@ -126,3 +126,25 @@ def test_host_fingerprint_and_sha_shapes():
     assert "c-py" in fp and " " not in fp
     sha = ledger.git_sha()
     assert sha == "unknown" or len(sha) == 40
+
+
+def test_host_experiment_is_not_a_bench(tmp_path):
+    """A BENCH file's ``host`` block describes the recording machine.
+
+    Checked against a record made on a 1-core host, a 2-core host's
+    ``cpu_count`` is no regression, and ``host`` is no bench id.
+    """
+    d = tmp_path / "benchmarks"
+    d.mkdir()
+    doc = _bench_doc()
+    doc["experiments"]["host"] = {"cpu_count": 2}
+    (d / "BENCH_demo.json").write_text(json.dumps(doc))
+    history = ledger.history_path(d)
+    ledger.append_records(history, [
+        ledger.make_record("demo:er", ledger.flatten_metrics(
+            _bench_doc()["experiments"]["er"])),
+        ledger.make_record("demo:host", {"cpu_count": 1.0}),
+    ])
+    assert [bid for bid, _ in ledger.scan_bench_dir(d)] == ["demo:er"]
+    regressions, compared, missing = ledger.check(d)
+    assert (regressions, compared, missing) == ([], 1, [])

@@ -27,7 +27,9 @@ import pytest
 
 from repro.conformance.diff import SMOKE_FAMILIES, run_primitive_diffs
 from repro.conformance.shadow import ShadowCREW
+from repro.graphs.csr import Graph
 from repro.graphs.errors import VertexError
+from repro.pram import primitives
 from repro.pram.backends import ShardedBackend
 from repro.pram.cost import CostModel
 from repro.pram.errors import InvalidStepError
@@ -51,6 +53,10 @@ def sharded():
 
 @lru_cache(maxsize=None)
 def _graph(family: str):
+    if family == "int-ties":
+        er = SMOKE_FAMILIES["er"](_N, _SEED)
+        weights = np.random.default_rng(_SEED).integers(1, 3, size=er.num_edges)
+        return Graph(er.n, er.edge_u, er.edge_v, weights.astype(np.float64))
     return SMOKE_FAMILIES[family](_N, _SEED)
 
 
@@ -72,6 +78,20 @@ def _sources(n: int, s: int) -> np.ndarray:
     return (np.arange(s, dtype=np.int64) * 5 + 3) % n
 
 
+def _assert_rows_match_solo(res, family, src):
+    g = _graph(family)
+    s = int(src.size)
+    assert res.dist.shape == (s, g.n) and res.parent.shape == (s, g.n)
+    for r in range(s):
+        dist, parent, rounds, work, depth, phases = _solo(family, int(src[r]))
+        assert np.array_equal(res.dist[r], dist), (family, r)
+        assert np.array_equal(res.parent[r], parent), (family, r)
+        assert res.rounds_used[r] == rounds, (family, r)
+        # the charged cost stream, not just the outputs: bit-equal totals
+        assert (res.costs[r].work, res.costs[r].depth) == (work, depth), (family, r)
+        assert dict(res.costs[r].phase_totals) == phases, (family, r)
+
+
 @pytest.mark.parametrize("width", ["serial", "sharded:2"])
 @pytest.mark.parametrize("s", _WIDTHS, ids=lambda s: f"S{s}")
 @pytest.mark.parametrize("family", sorted(SMOKE_FAMILIES))
@@ -82,15 +102,7 @@ def test_matrix_rows_match_solo_runs_bit_exactly(family, s, width, sharded):
     res = explore_batch(
         g, src, _BETA, workspace=Workspace(poison=True), backend=backend
     )
-    assert res.dist.shape == (s, g.n) and res.parent.shape == (s, g.n)
-    for r in range(s):
-        dist, parent, rounds, work, depth, phases = _solo(family, int(src[r]))
-        assert np.array_equal(res.dist[r], dist), (family, r)
-        assert np.array_equal(res.parent[r], parent), (family, r)
-        assert res.rounds_used[r] == rounds, (family, r)
-        # the charged cost stream, not just the outputs: bit-equal totals
-        assert (res.costs[r].work, res.costs[r].depth) == (work, depth), (family, r)
-        assert dict(res.costs[r].phase_totals) == phases, (family, r)
+    _assert_rows_match_solo(res, family, src)
 
 
 def test_batch_width_is_invisible_to_every_row():
@@ -161,6 +173,123 @@ def test_explore_batch_input_validation():
         explore_batch(g, np.array([g.n]), _BETA)
     with pytest.raises(VertexError):
         explore_batch(g, np.array([0, 1]), _BETA, costs=[CostModel()])
+
+
+# -- direction per round ------------------------------------------------------
+
+#: The direction rule's constants (arc cost, fixed cost) pinned to one
+#: direction: push whenever every frontier is known, or never push.
+_DIRECTIONS = {"push": (0, 0), "pull": (0, float("inf"))}
+
+
+def _pin_direction(monkeypatch, direction):
+    arc_cost, fixed_cost = _DIRECTIONS[direction]
+    monkeypatch.setattr(primitives, "PUSH_ARC_COST", arc_cost)
+    monkeypatch.setattr(primitives, "PUSH_FIXED_COST", fixed_cost)
+
+
+@pytest.mark.parametrize("direction", sorted(_DIRECTIONS))
+@pytest.mark.parametrize("width", ["serial", "sharded:2"])
+@pytest.mark.parametrize("s", _WIDTHS, ids=lambda s: f"S{s}")
+@pytest.mark.parametrize("family", sorted(SMOKE_FAMILIES) + ["int-ties"])
+def test_pinned_direction_rows_match_solo_runs(
+    family, s, width, direction, sharded, monkeypatch
+):
+    """Every round pushed, or every round pulled: rows still replay solo.
+
+    ``int-ties`` carries integer weights, so many cells are reached by
+    several equal-length candidates and the payload tie rule decides.
+    """
+    _pin_direction(monkeypatch, direction)
+    g = _graph(family)
+    src = _sources(g.n, s)
+    backend = sharded if width == "sharded:2" else None
+    res = explore_batch(
+        g, src, _BETA, workspace=Workspace(poison=True), backend=backend
+    )
+    _assert_rows_match_solo(res, family, src)
+    if direction == "push":
+        assert res.push_rounds > 0 and res.pull_rounds == 0
+    else:
+        assert res.push_rounds == 0 and res.pull_rounds > 0
+
+
+def _arc_multiset(tails, heads, weights) -> np.ndarray:
+    arcs = np.stack([tails, heads, weights.view(np.int64)], axis=1)
+    return arcs[np.lexsort(arcs.T[::-1])]
+
+
+def _mutate(dg) -> None:
+    """Reweights, deletes and an insert over a tombstone: every in-place
+    mutation of a DynamicGraph, none structural."""
+    rng = np.random.default_rng(5)
+    picks = rng.choice(dg.num_edge_records, size=12, replace=False)
+    ends = [(int(dg.edge_u[e]), int(dg.edge_v[e])) for e in picks]
+    for (u, v), e in zip(ends[:6], picks[:6]):
+        dg.set_weight(u, v, float(dg.edge_w[e]) * 1.5)
+    for u, v in ends[6:]:
+        dg.delete_edge(u, v)
+    dg.insert_edge(*ends[6], 1.0)
+    assert dg.recompactions == 0
+
+
+def _dynamic_union():
+    from repro.dynamic.graph import DynamicGraph
+
+    g, H = _layered_hopset()
+    return DynamicGraph(H.union_graph(g))
+
+
+def test_push_layout_is_the_pull_plan_reversed():
+    """On symmetric CSR graphs, vertex v's out-arcs (CSR row v) are the
+    pull plan's arcs: equal multisets of (tail, head, weight bits)."""
+    g, H = _layered_hopset()
+    mutated = _dynamic_union()
+    _mutate(mutated)
+    graphs = [_graph(f) for f in sorted(SMOKE_FAMILIES)]
+    graphs += [H.union_graph(g), mutated]
+    for graph in graphs:
+        plan = Workspace().relax_plan(graph)
+        deg = np.diff(plan.indptr)
+        out_tails = np.repeat(np.arange(plan.n_cells, dtype=np.int64), deg)
+        assert np.array_equal(
+            _arc_multiset(out_tails, plan.tails_s, plan.weights_s),
+            _arc_multiset(plan.tails_s, plan.heads_s, plan.weights_s),
+        )
+    # arc-list plans keep no out-arc layout, so they never push
+    tails, heads, weights = graphs[0].arcs()
+    plan = primitives.build_relax_plan(tails, heads, weights, graphs[0].n)
+    assert plan.indptr is None
+
+
+def test_dynamic_union_push_equals_pull_after_mutations(monkeypatch):
+    """A plan cached before reweights, deletes and a resurrecting insert
+    aliases the mutated weights, so it needs no rebuild: after them,
+    forced push equals forced pull, and both equal solo dense runs."""
+    dg = _dynamic_union()
+    src = _sources(dg.n, 8)
+    pools = {d: Workspace(poison=True) for d in _DIRECTIONS}
+    for pool in pools.values():
+        explore_batch(dg, src, _BETA, workspace=pool)  # caches the plan
+    _mutate(dg)
+    runs = {}
+    for direction, pool in sorted(pools.items()):
+        _pin_direction(monkeypatch, direction)
+        runs[direction] = explore_batch(dg, src, _BETA, workspace=pool)
+    push, pull = runs["push"], runs["pull"]
+    assert push.push_rounds > 0 and pull.push_rounds == 0
+    assert np.array_equal(push.dist.view(np.int64), pull.dist.view(np.int64))
+    assert np.array_equal(push.parent, pull.parent)
+    assert np.array_equal(push.rounds_used, pull.rounds_used)
+    for r, s in enumerate(map(int, src)):
+        pram = PRAM(CostModel())
+        solo = bellman_ford(pram, dg, s, _BETA, engine="dense")
+        assert np.array_equal(push.dist[r], solo.dist), r
+        assert np.array_equal(push.parent[r], solo.parent), r
+        for res in (push, pull):
+            assert (res.costs[r].work, res.costs[r].depth) == (
+                pram.cost.work, pram.cost.depth
+            ), r
 
 
 # -- the block width ---------------------------------------------------------

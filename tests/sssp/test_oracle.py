@@ -8,6 +8,8 @@ from repro.graphs.errors import VertexError
 from repro.graphs.generators import erdos_renyi
 from repro.hopsets.multi_scale import build_hopset
 from repro.hopsets.params import HopsetParams
+from repro.pram.cost import CostHook
+from repro.pram.primitives import PUSH_ARC_COST, PUSH_FIXED_COST
 from repro.sssp.oracle import HopsetDistanceOracle
 
 
@@ -190,3 +192,46 @@ def test_tree_path_detects_broken_trees():
     assert tree_path(parent, 0, 3, 4) is None  # 3 has no parent
     cyclic = np.array([1, 0, 2, 2], dtype=np.int64)
     assert tree_path(cyclic, 3, 0, 4) is None  # walk exceeds n steps
+
+
+class _DirectionLog(CostHook):
+    """Sums the matrix engine's direction traffic by label."""
+
+    __slots__ = ("totals",)
+
+    def __init__(self):
+        self.totals = {}
+
+    def on_traffic(self, label, calls, elements, reads, writes):
+        if label in ("mssp.push_round", "mssp.pull_round"):
+            c, e = self.totals.get(label, (0, 0))
+            self.totals[label] = (c + calls, e + elements)
+
+
+def test_round_directions_are_counted_and_reported():
+    """32 sources of an ER union push some rounds and pull others; the
+    rounds and the arcs they relaxed are reported on the machine's cost
+    model and tallied in ``cache_info``."""
+    g = erdos_renyi(240, 0.05, seed=402, w_range=(1.0, 3.0))
+    H, _ = build_hopset(g, HopsetParams(epsilon=0.25, beta=8))
+    oracle = HopsetDistanceOracle(g, H, cache_size=64)
+    log = oracle.pram.cost.subscribe(_DirectionLog())
+    oracle.explore_many(range(32))
+    info = oracle.cache_info()
+    assert info["push_rounds"] >= 1 and info["pull_rounds"] >= 1
+    pushes, push_arcs = log.totals["mssp.push_round"]
+    pulls, pull_arcs = log.totals["mssp.pull_round"]
+    assert (pushes, pulls) == (info["push_rounds"], info["pull_rounds"])
+    m = int(oracle.union.indices.size)
+    assert pull_arcs % m == 0 and pulls * m <= pull_arcs <= pulls * 32 * m
+    # every push passed the rule: PUSH_ARC_COST * T + PUSH_FIXED_COST <= a * m
+    assert PUSH_ARC_COST * push_arcs + PUSH_FIXED_COST * pushes <= pushes * 32 * m
+
+
+def test_one_row_blocks_below_the_fixed_cost_never_push(setup):
+    g, H = setup
+    oracle = HopsetDistanceOracle(g, H, mssp_block=1)
+    assert oracle.union.indices.size <= PUSH_FIXED_COST
+    oracle.explore_many(range(8))
+    info = oracle.cache_info()
+    assert info["push_rounds"] == 0 and info["pull_rounds"] > 0
