@@ -1,51 +1,18 @@
-"""Shared helpers for the experiment benchmarks (E1–E11).
+"""Shared helpers for the experiment benchmarks (E1–E27).
 
 Each benchmark module computes its experiment table once (cached at module
 scope), prints it through :func:`emit` — so `pytest benchmarks/
 --benchmark-only -s` reproduces every table of DESIGN.md §4 — and times the
 core operation with pytest-benchmark.
-
-Benchmarks may additionally call :func:`record_obs` with per-experiment
-measured costs (work / depth / wall-clock); at session end the collected
-records are written to ``benchmarks/BENCH_obs.json`` so CI and the
-observability layer (``docs/observability.md``) can track the numbers
-machine-readably across runs.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 from repro.analysis.tables import render_table
-
-_OBS: dict[str, dict] = {}
-_OBS_PATH = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 
 def emit(title: str, headers, rows) -> None:
     """Print an experiment table (visible with -s; captured otherwise)."""
     print("\n" + render_table(title, headers, rows), file=sys.stderr)
-
-
-def record_obs(experiment: str, **fields) -> None:
-    """Record one experiment's measured costs for ``BENCH_obs.json``.
-
-    ``experiment`` is a slash-path key such as ``"e3/build/n=256"``;
-    ``fields`` typically include ``work``, ``depth``, and ``wall_s``.
-    Re-recording the same key overwrites (the sweeps are lru-cached, so in
-    practice each key is written once per session).
-    """
-    _OBS[experiment] = {
-        k: (float(v) if isinstance(v, float) else v) for k, v in fields.items()
-    }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _OBS:
-        return
-    _OBS_PATH.write_text(
-        json.dumps({"experiments": _OBS}, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"\nwrote {_OBS_PATH}", file=sys.stderr)

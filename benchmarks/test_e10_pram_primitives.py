@@ -8,11 +8,10 @@ signature of log growth).
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 
 import numpy as np
-from conftest import emit, record_obs
+from conftest import emit
 
 from repro.graphs.generators import path_graph
 from repro.graphs.components import connected_components
@@ -26,27 +25,11 @@ def run_sweep():
     rows = []
     for n in NS:
         p_scan, p_sort, p_pj, p_cc = PRAM(), PRAM(), PRAM(), PRAM()
-        t0 = time.perf_counter()
         p_scan.prefix_sum(np.ones(n))
         p_sort.sort(np.arange(n)[::-1].copy())
         chain = np.concatenate([[0], np.arange(n - 1)])
         p_pj.pointer_jump(chain)
         connected_components(p_cc, path_graph(n))
-        wall = time.perf_counter() - t0
-        record_obs(
-            f"e10/primitives/n={n}",
-            n=n,
-            work=p_scan.cost.work + p_sort.cost.work + p_pj.cost.work + p_cc.cost.work,
-            depth=p_scan.cost.depth
-            + p_sort.cost.depth
-            + p_pj.cost.depth
-            + p_cc.cost.depth,
-            wall_s=wall,
-            scan_depth=p_scan.cost.depth,
-            sort_depth=p_sort.cost.depth,
-            pointer_jump_depth=p_pj.cost.depth,
-            cc_depth=p_cc.cost.depth,
-        )
         rows.append(
             [n, p_scan.cost.depth, p_sort.cost.depth, p_pj.cost.depth, p_cc.cost.depth]
         )

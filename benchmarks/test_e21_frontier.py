@@ -5,19 +5,18 @@ still improve; the sparse engine (``repro.pram.frontier``) gathers only
 the changed vertices' out-arcs.  This experiment runs all three engines
 on the E-family workload graphs plus a long-path worst case (the graph
 that maximizes rounds and minimizes per-round frontiers — dense's worst
-regime), asserts bit-exact agreement, and records charged work / depth /
-wall-clock per engine to ``benchmarks/BENCH_frontier.json``.
+regime), asserts bit-exact agreement, and records charged work and depth
+per engine to ``benchmarks/BENCH_frontier.json``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from conftest import emit, record_obs
+from conftest import emit
 
 from repro.graphs.generators import (
     erdos_renyi,
@@ -49,10 +48,8 @@ ENGINES = ("dense", "sparse", "auto")
 
 def _measure(g, engine):
     pram = PRAM()
-    t0 = time.perf_counter()
     res = bellman_ford(pram, g, 0, hops=g.n - 1, engine=engine)
-    wall = time.perf_counter() - t0
-    return res, pram.cost.work, pram.cost.depth, wall
+    return res, pram.cost.work, pram.cost.depth
 
 
 @lru_cache(maxsize=None)
@@ -91,24 +88,8 @@ def run_sweep():
             "rounds": dense.rounds_used,
             "bit_exact": bit_exact,
             "work_ratio_dense_over_sparse": round(ratio, 3),
-            **{
-                e: {
-                    "work": runs[e][1],
-                    "depth": runs[e][2],
-                    "wall_s": round(runs[e][3], 6),
-                }
-                for e in ENGINES
-            },
+            **{e: {"work": runs[e][1], "depth": runs[e][2]} for e in ENGINES},
         }
-        record_obs(
-            f"e21/{name}",
-            work_dense=runs["dense"][1],
-            work_sparse=runs["sparse"][1],
-            work_auto=runs["auto"][1],
-            depth_dense=runs["dense"][2],
-            depth_sparse=runs["sparse"][2],
-            wall_s_sparse=runs["sparse"][3],
-        )
     OUT_PATH.write_text(
         json.dumps({"experiments": records}, indent=2, sort_keys=True) + "\n"
     )

@@ -24,20 +24,17 @@ experiment measures both halves:
   the initial full-build work, and the safety invariant (β-hop union
   distances never under exact) before *and* after the refresh.
 
-Charged work is the primary metric (deterministic, host-independent);
-wall-clock rides along for the ledger.
+Charged work is the metric: deterministic and host-independent.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from conftest import emit, record_obs
+from conftest import emit
 
 from repro.dynamic import DynamicGraph, DynamicHopset, DynamicSSSP
 from repro.graphs.generators import (
@@ -118,7 +115,6 @@ def rate_sweep():
         repair_base = repair.pram.cost.work
         rebuild_base = base_pram.cost.work
         exact = True
-        t0 = time.perf_counter()
         for batch in schedule:
             for op in batch:
                 if op[0] == "delete":
@@ -131,7 +127,6 @@ def rate_sweep():
             exact = exact and np.array_equal(
                 repair.dist, _rebuild_step(baseline, base_pram)
             )
-        wall = time.perf_counter() - t0
         all_exact = all_exact and exact
         repair_work = repair.pram.cost.work - repair_base
         rebuild_work = base_pram.cost.work - rebuild_base
@@ -145,16 +140,11 @@ def rate_sweep():
             "repairs": repair.repairs,
             "fallback_rebuilds": repair.rebuilds,
             "bit_exact": bool(exact),
-            "wall_ms": round(wall * 1e3, 3),
         }
         rows.append([
             rate, f"{repair_work:,}", f"{rebuild_work:,}", f"{ratio:.2f}x",
             repair.repairs, repair.rebuilds, exact,
         ])
-        record_obs(
-            f"e27/repair/r{rate}", repair_work=int(repair_work),
-            rebuild_work=int(rebuild_work), ratio=ratio,
-        )
     return rows, {
         "rates": rates,
         "crossover_rate": crossover,
@@ -184,9 +174,7 @@ def decay_sweep():
     g = _workload()
     dg = DynamicGraph(g)
     pram = PRAM()
-    t0 = time.perf_counter()
     dh = DynamicHopset(dg, params=_PARAMS, pram=pram, rebuild_below=0.0)
-    build_wall = time.perf_counter() - t0
     build_work = pram.cost.work
     trajectory = [1.0]
     # congestion wave: the decaying half of a rush-hour cycle
@@ -203,30 +191,22 @@ def decay_sweep():
     safe_decayed = _never_under(dg, dh)
     decayed = dh.live_fraction
     before_refresh = pram.cost.work
-    t0 = time.perf_counter()
     report = dh.maintain()
-    refresh_wall = time.perf_counter() - t0
     refresh_work = pram.cost.work - before_refresh
     safe_refreshed = _never_under(dg, dh)
     rec = {
         "records": dh.num_records(),
         "build_work": int(build_work),
-        "build_wall_ms": round(build_wall * 1e3, 3),
         "live_trajectory": trajectory,
         "decayed_live_fraction": round(decayed, 4),
         "action": report.action,
         "scales_refreshed": len(report.scales_refreshed),
         "refresh_work": int(refresh_work),
-        "refresh_wall_ms": round(refresh_wall * 1e3, 3),
         "refresh_vs_build": round(refresh_work / max(build_work, 1), 3),
         "live_after_refresh": round(dh.live_fraction, 4),
         "safe_decayed": bool(safe_decayed),
         "safe_refreshed": bool(safe_refreshed),
     }
-    record_obs(
-        "e27/hopset/refresh", refresh_work=rec["refresh_work"],
-        build_work=rec["build_work"], ratio=rec["refresh_vs_build"],
-    )
     rows = [[
         rec["records"], f"{decayed:.2f}", rec["action"],
         rec["scales_refreshed"], f"{rec['live_after_refresh']:.2f}",
@@ -242,7 +222,6 @@ def write_bench():
     _, hopset = decay_sweep()
     g = _workload()
     records = {
-        "host": {"cpu_count": os.cpu_count() or 1},
         "workload": {
             "family": "road", "n": g.n, "arcs": int(g.indices.size),
             "steps": _STEPS, "rates": list(_RATES),

@@ -9,10 +9,9 @@ fixed small power of n while work stays near-linear).
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 
-from conftest import emit, record_obs
+from conftest import emit
 
 from repro.analysis.metrics import loglog_slope
 from repro.graphs.generators import erdos_renyi
@@ -30,17 +29,7 @@ def run_sweep():
         g = erdos_renyi(n, 4.0 / n, seed=3000 + n, w_range=(1.0, 4.0))
         pram = PRAM()
         params = HopsetParams(epsilon=0.25, kappa=2, rho=0.4, beta=8)
-        t0 = time.perf_counter()
         H, report = build_hopset(g, params, pram)
-        wall = time.perf_counter() - t0
-        record_obs(
-            f"e3/build/n={n}",
-            n=n,
-            m=g.num_edges,
-            work=report.work,
-            depth=report.depth,
-            wall_s=wall,
-        )
         procs = int((g.num_edges + g.n ** (1 + 0.5)) * g.n**0.4)
         rows.append(
             [

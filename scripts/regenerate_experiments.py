@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Regenerate every experiment table (E1–E17) in one run.
+"""Regenerate every experiment table (E1–E27) in one run.
 
 Runs the benchmark harness with output capture disabled, collects the
 tables the bench modules emit on stderr, and writes them to

@@ -45,16 +45,14 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment("E19", "simulator wall-clock scaling", "engineering", "test_e19_simulator_scale"),
     Experiment("E20", "decremental SSSP via memory-path invalidation", "§1.4 future work", "test_e20_decremental"),
     Experiment("E21", "sparse-frontier vs dense relaxation engines", "engineering, docs/frontier.md", "test_e21_frontier"),
-    Experiment("E23", "sharded backend scaling vs Brent's T_p ≤ W/p + D", "engineering, docs/backends.md", "test_e23_sharded"),
-    Experiment("E24", "warm hopset store vs cold build", "engineering, docs/hopset_store.md", "test_e24_build"),
-    Experiment("E25", "oracle serving layer: latency/QPS under the tiered cache", "engineering, docs/serving.md", "test_e25_serve"),
-    Experiment("E26", "S×V matrix relaxation: loop-vs-batch crossover + serving payoff", "engineering, docs/mssp.md", "test_e26_mssp"),
     Experiment("E27", "incremental repair vs full recompute under live updates", "§1.4 / engineering, docs/dynamic.md", "test_e27_dynamic"),
 )
 
 
-#: Ids of retired experiments (their baseline code is gone); never reused.
-RETIRED: tuple[str, ...] = ("E22",)
+#: Ids of retired experiments, never reused.  E22's baseline code is gone;
+#: E23–E26 were single best-of wall-clock readings, whose claims tier-1
+#: tests and perfbench's distributions now carry (EXPERIMENTS.md).
+RETIRED: tuple[str, ...] = ("E22", "E23", "E24", "E25", "E26")
 
 
 def experiment(exp_id: str) -> Experiment:

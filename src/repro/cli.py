@@ -14,7 +14,6 @@ Usage::
     python -m repro gen     graph.npz --family er --n 100 [--seed 7 ...]
     python -m repro trace   {build,sssp,spt} ... --trace-out trace.json [--jsonl spans.jsonl]
     python -m repro profile {build,sssp} ... [--top N] [--flame-out flame.folded]
-    python -m repro perf    {append,check} [--bench-dir D] [--history H] [--warn-only]
     python -m repro conformance [--strict] [--seed N] [--n N] [--families er,grid] [--trace-out t.json]
     python -m repro serve   graph.npz [hopset.npz] [--host H --port P] [--probe "dist U V" ...]
                             [--max-requests N --log queries.log --pair-cache K
@@ -32,12 +31,6 @@ telemetry, docs/observability.md) and a backend-health table.
 ``profile`` runs build/sssp under the tracer and prints per-scale,
 per-phase, per-primitive *exclusive* wall attribution (the ROADMAP item 2
 instrument), plus a folded flame file for flamegraph.pl / speedscope.
-
-``perf`` maintains the append-only benchmark ledger
-(``benchmarks/BENCH_history.jsonl``): ``append`` records the current
-``BENCH_*.json`` values; ``check`` compares them against the recorded
-baseline under per-metric tolerance bands and exits nonzero on regression
-(``--warn-only`` reports without failing).
 
 ``conformance`` diffs every vectorized primitive against a literal CREW
 program and sweeps the E-family smoke graphs under the shadow race
@@ -77,7 +70,7 @@ import numpy as np
 from repro.graphs.build import from_edges
 from repro.graphs.csr import Graph
 from repro.graphs.errors import VertexError
-from repro.dynamic import DynamicSSSP
+from repro.dynamic import DEFAULT_FALLBACK_FRAC, DynamicSSSP
 from repro.graphs.generators import (
     as_rng,
     erdos_renyi,
@@ -109,7 +102,6 @@ from repro.obs.bounds import (
     theorem_3_7_envelopes,
     watchdog_table,
 )
-from repro.obs import ledger
 from repro.obs.export import (
     backend_health_report,
     flame_report,
@@ -644,38 +636,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    bench_dir = Path(args.bench_dir)
-    history = Path(args.history) if args.history else ledger.history_path(bench_dir)
-    if args.perf_action == "append":
-        pairs = ledger.scan_bench_dir(bench_dir)
-        if not pairs:
-            print(f"no BENCH_*.json under {bench_dir}", file=sys.stderr)
-            return 2
-        host = ledger.host_fingerprint()
-        sha = ledger.git_sha()
-        records = [
-            ledger.make_record(bid, metrics, host=host, sha=sha)
-            for bid, metrics in pairs
-        ]
-        n = ledger.append_records(history, records)
-        print(f"appended {n} records ({host}, {sha[:12]}) -> {history}")
-        return 0
-    regressions, compared, missing = ledger.check(bench_dir, history)
-    for r in regressions:
-        print(f"REGRESSION: {r}")
-    if missing:
-        print(f"no baseline yet for {len(missing)} bench(es): {', '.join(missing)}")
-    verdict = "FAIL" if regressions else "PASS"
-    print(
-        f"perf check: {compared} benches vs {history} -> "
-        f"{len(regressions)} regressions ({verdict})"
-    )
-    if regressions and not args.warn_only:
-        return 1
-    return 0
-
-
 def cmd_conformance(args) -> int:
     from repro.conformance import (
         SMOKE_FAMILIES,
@@ -955,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fallback-frac", type=float, default=None, metavar="F",
         help="repair->rebuild threshold as a fraction of all CSR arcs "
-             "(default follows REPRO_DYN_FALLBACK)",
+             f"(default {DEFAULT_FALLBACK_FRAC})",
     )
     p.add_argument(
         "--verify", action="store_true",
@@ -995,25 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="folded-stack output path "
                              "(default profile_<cmd>.folded)")
         pp.set_defaults(func=cmd_profile, profiled=name)
-
-    p = sub.add_parser(
-        "perf", help="append to / check against the benchmark perf ledger"
-    )
-    fsub = p.add_subparsers(dest="perf_action", required=True)
-    for name, hint in (
-        ("append", "record current BENCH_*.json values in the ledger"),
-        ("check", "compare BENCH_*.json against the recorded baseline"),
-    ):
-        fp = fsub.add_parser(name, help=hint)
-        fp.add_argument("--bench-dir", default="benchmarks",
-                        help="directory holding BENCH_*.json (default benchmarks)")
-        fp.add_argument("--history", default=None,
-                        help="ledger path (default <bench-dir>/BENCH_history.jsonl "
-                             "or REPRO_LEDGER_PATH)")
-        if name == "check":
-            fp.add_argument("--warn-only", action="store_true",
-                            help="report regressions without failing")
-        fp.set_defaults(func=cmd_perf, perf_action=name)
 
     p = sub.add_parser(
         "conformance",

@@ -31,16 +31,16 @@ update, it repairs in four layers (``docs/dynamic.md``):
 from repro.dynamic.engine import DynamicOracle, pair_codes, tree_touches
 from repro.dynamic.graph import DynamicGraph
 from repro.dynamic.hopset import DynamicHopset, MaintenanceReport
-from repro.dynamic.repair import DynamicSSSP, RepairStats, fallback_frac_default
+from repro.dynamic.repair import DEFAULT_FALLBACK_FRAC, DynamicSSSP, RepairStats
 
 __all__ = [
+    "DEFAULT_FALLBACK_FRAC",
     "DynamicGraph",
     "DynamicHopset",
     "DynamicOracle",
     "DynamicSSSP",
     "MaintenanceReport",
     "RepairStats",
-    "fallback_frac_default",
     "pair_codes",
     "tree_touches",
 ]

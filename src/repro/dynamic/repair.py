@@ -28,14 +28,13 @@ Parent arrays are only guaranteed *valid* (``dist[v] == dist[parent[v]]
 **Auto-fallback.**  An orphaned region whose CSR degree sum exceeds
 ``fallback_frac`` of all arcs is cheaper to recompute than to repair;
 the engine then runs a counted full rebuild instead.  The fraction
-defaults from ``REPRO_DYN_FALLBACK``.  Every update returns a
+defaults to :data:`DEFAULT_FALLBACK_FRAC`.  Every update returns a
 :class:`RepairStats` with the charged-work cost of what was done and the
 running repair-vs-rebuild totals feed the E27 experiment.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,17 +46,12 @@ from repro.pram.frontier import frontier_relax
 from repro.pram.machine import PRAM
 from repro.sssp.bellman_ford import bellman_ford
 
-__all__ = ["DynamicSSSP", "RepairStats", "fallback_frac_default"]
+__all__ = ["DEFAULT_FALLBACK_FRAC", "DynamicSSSP", "RepairStats"]
 
-
-def fallback_frac_default() -> float:
-    """Resolve the repair→rebuild threshold default (``REPRO_DYN_FALLBACK``).
-
-    The fraction of all CSR arcs the orphaned region's degree sum may
-    reach before a repair falls back to a full recompute; ``0`` forces
-    every orphaning update to rebuild, ``1`` (or more) never falls back.
-    """
-    return float(os.environ.get("REPRO_DYN_FALLBACK", "0.25"))
+#: The fraction of all CSR arcs the orphaned region's degree sum may reach
+#: before a repair falls back to a full recompute; ``0`` forces every
+#: orphaning update to rebuild, ``1`` (or more) never falls back.
+DEFAULT_FALLBACK_FRAC = 0.25
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class DynamicSSSP:
     source:
         The SSSP source vertex.
     fallback_frac:
-        Repair→rebuild threshold (see :func:`fallback_frac_default`).
+        Repair→rebuild threshold (default :data:`DEFAULT_FALLBACK_FRAC`).
     pram:
         The machine charged for repairs; rebuilds run on a fresh
         workspace sharing its cost model, so the plan cache never
@@ -113,8 +107,8 @@ class DynamicSSSP:
         if not 0 <= source < self.graph.n:
             raise VertexError(f"source {source} out of range")
         self.source = int(source)
-        self.fallback_frac = (
-            fallback_frac_default() if fallback_frac is None else float(fallback_frac)
+        self.fallback_frac = float(
+            DEFAULT_FALLBACK_FRAC if fallback_frac is None else fallback_frac
         )
         if self.fallback_frac < 0:
             raise InvalidGraphError("fallback_frac must be non-negative")

@@ -1,8 +1,8 @@
 """Observability for the CREW PRAM simulator.
 
-Four pieces, all driven by the :class:`~repro.pram.cost.CostModel` hook
-interface (``cost.subscribe(...)``), so the simulator itself stays
-zero-overhead when nothing is attached:
+The pieces that observe a run are driven by the
+:class:`~repro.pram.cost.CostModel` hook interface (``cost.subscribe(...)``),
+so the simulator itself stays zero-overhead when nothing is attached:
 
 * :mod:`repro.obs.tracer` — nested spans mirroring the cost model's phase
   stack, with charged work/depth deltas, wall-clock time, and per-label op
@@ -16,8 +16,8 @@ zero-overhead when nothing is attached:
   constants with PASS/WARN status.
 * :mod:`repro.obs.profile` — per-scale, per-primitive wall attribution of
   hopset builds plus the folded flame exporter (``repro profile``).
-* :mod:`repro.obs.ledger` — the append-only perf-regression ledger behind
-  ``repro perf {append,check}`` and the ``perf-ledger`` CI job.
+* :mod:`repro.obs.ledger` — the host fingerprint and git sha that
+  ``perfbench`` stamps on every result.
 
 See ``docs/observability.md`` for the guide.
 """
@@ -39,18 +39,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.ledger import (
-    Regression,
-    append_records,
-    baseline_for,
-    check,
-    compare_metrics,
-    flatten_metrics,
-    history_path,
-    load_history,
-    make_record,
-    scan_bench_dir,
-)
 from repro.obs.profile import profile_report, write_folded_flame
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import Span, SpanTracer
@@ -71,16 +59,6 @@ __all__ = [
     "backend_health_report",
     "profile_report",
     "write_folded_flame",
-    "Regression",
-    "flatten_metrics",
-    "make_record",
-    "scan_bench_dir",
-    "append_records",
-    "load_history",
-    "baseline_for",
-    "compare_metrics",
-    "check",
-    "history_path",
     "Envelope",
     "WatchdogVerdict",
     "theorem_3_7_envelopes",

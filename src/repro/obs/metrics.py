@@ -144,6 +144,11 @@ class MetricsRegistry(CostHook):
         self.histograms: dict[str, Histogram] = {}
         self._clock_ns = clock_ns if clock_ns is not None else time.perf_counter_ns
         self._last_ns = self._clock_ns()
+        # Per-label metric objects, so an event formats no metric names:
+        # ``(calls, elements, cells_read, cells_written, wall_ns, size)``
+        # for traffic and ``(work, depth)`` for labelled charges.
+        self._traffic: dict[str, tuple] = {}
+        self._charged: dict[str, tuple[Counter, Counter]] = {}
 
     # -- registry ------------------------------------------------------------
 
@@ -184,21 +189,38 @@ class MetricsRegistry(CostHook):
         self.counter("cost.work").inc(work)
         self.counter("cost.depth").inc(depth)
         if label:
-            self.counter(f"primitive.{label}.work").inc(work)
-            self.counter(f"primitive.{label}.depth").inc(depth)
+            slot = self._charged.get(label)
+            if slot is None:
+                slot = self._charged[label] = (
+                    self.counter(f"primitive.{label}.work"),
+                    self.counter(f"primitive.{label}.depth"),
+                )
+            slot[0].inc(work)
+            slot[1].inc(depth)
 
     def on_traffic(
         self, label: str, calls: int, elements: int, reads: int, writes: int
     ) -> None:
-        prefix = f"primitive.{label}"
-        self.counter(f"{prefix}.calls").inc(calls)
-        self.counter(f"{prefix}.elements").inc(elements)
-        self.counter(f"{prefix}.cells_read").inc(reads)
-        self.counter(f"{prefix}.cells_written").inc(writes)
+        slot = self._traffic.get(label)
+        if slot is None:
+            prefix = f"primitive.{label}"
+            slot = self._traffic[label] = (
+                self.counter(f"{prefix}.calls"),
+                self.counter(f"{prefix}.elements"),
+                self.counter(f"{prefix}.cells_read"),
+                self.counter(f"{prefix}.cells_written"),
+                self.counter(f"{prefix}.wall_ns"),
+                self.histogram(f"{prefix}.size"),
+            )
+        n_calls, n_elements, n_read, n_written, wall_ns, size = slot
+        n_calls.inc(calls)
+        n_elements.inc(elements)
+        n_read.inc(reads)
+        n_written.inc(writes)
         now_ns = self._clock_ns()
-        self.counter(f"{prefix}.wall_ns").inc(max(now_ns - self._last_ns, 0))
+        wall_ns.inc(max(now_ns - self._last_ns, 0))
         self._last_ns = now_ns
-        self.histogram(f"{prefix}.size").observe(elements)
+        size.observe(elements)
 
     def on_phase_enter(self, name: str) -> None:
         self.counter("cost.phases").inc()

@@ -68,9 +68,9 @@ __all__ = [
 ]
 
 #: Default row-block width of the matrix engine (sources per S×V pass).
-#: Past the loop-vs-batch crossover (BENCH_mssp.json measures it; see
-#: docs/mssp.md) yet small enough that the (S × V) round buffers stay
-#: cache-friendly on the smoke graphs.
+#: perfbench's query-cold workload serves closed-loop blocks of this width
+#: (``sssp.rows_per_pass``); docs/mssp.md gives measured per-width costs.
+#: Small enough that the (S × V) round buffers stay cache-friendly.
 DEFAULT_MSSP_BLOCK = 32
 
 

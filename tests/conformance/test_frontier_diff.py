@@ -15,6 +15,7 @@ import pytest
 
 from repro.conformance.diff import SMOKE_FAMILIES
 from repro.conformance.shadow import ShadowCREW
+from repro.graphs.generators import path_graph
 from repro.pram.machine import PRAM
 from repro.sssp.bellman_ford import bellman_ford
 
@@ -64,3 +65,12 @@ def test_full_budget_sparse_saves_work(family):
     assert np.array_equal(dense.dist, res.dist)
     assert dense.rounds_used == res.rounds_used == g.n - 1
     assert 2 * cost.work <= dense_cost.work
+
+
+def test_long_path_sparse_charges_a_quarter_of_dense():
+    """A 512-vertex path is dense's worst case: n−1 rounds, one-vertex frontiers."""
+    g = path_graph(512, seed=2107, w_range=(1.0, 3.0))
+    dense, dense_cost, _ = _run(g, 0, g.n - 1, True, "dense")
+    res, cost, _ = _run(g, 0, g.n - 1, True, "sparse")
+    assert np.array_equal(dense.dist, res.dist)
+    assert 4 * cost.work <= dense_cost.work

@@ -11,9 +11,10 @@ required to be valid (``dist[v] == dist[parent[v]] + w`` exactly).
 import numpy as np
 import pytest
 
-from repro.dynamic import DynamicSSSP, RepairStats, fallback_frac_default
+from repro.dynamic import DEFAULT_FALLBACK_FRAC, DynamicSSSP, RepairStats
 from repro.graphs.errors import InvalidGraphError, VertexError
-from repro.graphs.generators import erdos_renyi, grid_graph
+from repro.dynamic import DynamicGraph
+from repro.graphs.generators import erdos_renyi, grid_graph, road_network
 from repro.pram.backends import ShardedBackend
 from repro.pram.machine import PRAM
 from repro.sssp.bellman_ford import bellman_ford
@@ -162,12 +163,11 @@ def test_charged_work_accounting_splits_by_mode():
     assert d.rebuild_work > 0
 
 
-def test_env_default_and_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_DYN_FALLBACK", "0.75")
-    assert fallback_frac_default() == 0.75
-    monkeypatch.delenv("REPRO_DYN_FALLBACK")
-    assert fallback_frac_default() == 0.25
+def test_env_default_and_validation():
+    """The threshold defaults to the module constant; bad inputs raise."""
+    assert DEFAULT_FALLBACK_FRAC == 0.25
     g = grid_graph(3, 3, seed=1, w_range=(1.0, 2.0))
+    assert DynamicSSSP(g, 0).fallback_frac == DEFAULT_FALLBACK_FRAC
     with pytest.raises(VertexError):
         DynamicSSSP(g, -1)
     with pytest.raises(InvalidGraphError):
@@ -177,3 +177,43 @@ def test_env_default_and_validation(monkeypatch):
         d.set_weight(0, 8, 1.0)  # not a live edge
     with pytest.raises(InvalidGraphError):
         d.apply(("teleport", 0, 1))
+
+
+def _repair_over_rebuild(g, rate, steps=8, seed=4202):
+    """Charged work of ``rate`` reweights per step, repaired vs rebuilt per step.
+
+    The rebuild side answers the same per-step question with one full
+    Bellman–Ford; the repaired tree must equal it bit-exactly every step.
+    """
+    rng = np.random.default_rng(seed)
+    weights = {
+        (int(u), int(v)): float(w) for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)
+    }
+    pairs = list(weights)
+    repair = DynamicSSSP(g, 0)
+    baseline = DynamicGraph(g)
+    rebuild = PRAM()
+    boot = repair.pram.cost.work  # the initial build is not a repair
+    for _ in range(steps):
+        for _ in range(rate):
+            u, v = pairs[int(rng.integers(0, len(pairs)))]
+            weights[u, v] *= float(rng.uniform(0.5, 2.0))
+            baseline.set_weight(u, v, weights[u, v])
+            repair.apply(("update", u, v, weights[u, v]))
+        snap = baseline.snapshot()
+        full = bellman_ford(PRAM(cost=rebuild.cost), snap, 0, hops=snap.n - 1)
+        assert np.array_equal(repair.dist, full.dist)
+    return (repair.pram.cost.work - boot) / rebuild.cost.work
+
+
+def test_sparse_updates_repair_for_a_fraction_of_rebuild_work():
+    """One reweight per step costs a tenth of the per-step rebuilds at most,
+    and the advantage shrinks as batches grow (32 updates per step).
+
+    The repair reads about 0.02 here; a fallback that tripped on every
+    orphaning update (``fallback_frac=0``) would read about 0.4.
+    """
+    g = road_network(12, 12, seed=4201, w_range=(1.0, 3.0))
+    sparse = _repair_over_rebuild(g, rate=1)
+    assert sparse <= 0.1
+    assert _repair_over_rebuild(g, rate=32) > sparse

@@ -1,5 +1,7 @@
 """MetricsRegistry: counters, histograms, and per-primitive aggregation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,42 @@ def test_wall_ns_resets_at_phase_boundaries():
         c.traffic("a", elements=1, reads=0, writes=0)
     # only the 5ns since phase entry, not the 105ns since attach
     assert r.counter("primitive.a.wall_ns").value == 5
+
+
+def test_interleaved_labels_match_a_direct_count():
+    """Per-label metrics, cached after a label's first event, equal a recount."""
+    ticks = itertools.count(0, 7)  # every traffic event claims 7ns
+    r = MetricsRegistry(clock_ns=lambda: next(ticks))
+    rng = np.random.default_rng(11)
+    counters: dict[str, int] = {"cost.charges": 0, "cost.work": 0, "cost.depth": 0}
+    sizes: dict[str, Histogram] = {}
+
+    def bump(name, amount):
+        counters[name] = counters.get(name, 0) + amount
+
+    for _ in range(200):
+        label = ("scan", "sort", "relax", "")[int(rng.integers(0, 4))]
+        if rng.random() < 0.5:
+            work, depth = (int(x) for x in rng.integers(0, 50, size=2))
+            r.on_charge(work, depth, label)
+            bump("cost.charges", 1)
+            bump("cost.work", work)
+            bump("cost.depth", depth)
+            if label:
+                bump(f"primitive.{label}.work", work)
+                bump(f"primitive.{label}.depth", depth)
+        else:
+            calls, elements, reads, writes = (int(x) for x in rng.integers(0, 9, size=4))
+            r.on_traffic(label, calls, elements, reads, writes)
+            prefix = f"primitive.{label}"
+            bump(f"{prefix}.calls", calls)
+            bump(f"{prefix}.elements", elements)
+            bump(f"{prefix}.cells_read", reads)
+            bump(f"{prefix}.cells_written", writes)
+            bump(f"{prefix}.wall_ns", 7)
+            sizes.setdefault(f"{prefix}.size", Histogram(f"{prefix}.size")).observe(elements)
+    assert r.snapshot() == {
+        "counters": counters,
+        "gauges": {},
+        "histograms": {k: h.to_dict() for k, h in sizes.items()},
+    }

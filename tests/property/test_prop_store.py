@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.build import from_edges
+from repro.graphs.generators import layered_hop_graph
 from repro.hopsets.multi_scale import build_hopset
 from repro.hopsets.params import HopsetParams
+from repro.hopsets.path_reporting import build_path_reporting_hopset
 from repro.hopsets.store import (
     HopsetStore,
     build_variant,
@@ -189,3 +191,17 @@ def test_build_variant_slugs():
     assert build_variant(paths=True) == "paths"
     assert build_variant(reduce=True) == "reduce"
     assert build_variant(paths=True, reduce=True) == "reduce-paths"
+
+
+def test_warm_hit_keeps_edge_order_and_provenance(tmp_path):
+    """A warm load returns the saved edge list itself: same order, same paths."""
+    g = layered_hop_graph(16, 4, seed=2403)
+    store = HopsetStore(tmp_path)
+    for variant, build in (("plain", build_hopset),
+                           ("paths", build_path_reporting_hopset)):
+        built, _ = build(g, _PARAMS)
+        store.save(g, _PARAMS, built, variant)
+        warm = store.load(g, _PARAMS, variant)
+        assert warm is not None
+        assert list(map(_edge_key, warm.edges)) == list(map(_edge_key, built.edges))
+    assert any(e.path is not None for e in warm.edges)

@@ -19,6 +19,7 @@ from repro.hopsets.params import HopsetParams
 from repro.pram.backends import ShardedBackend
 from repro.serve import OracleServer
 from repro.serve.protocol import format_dist, format_path
+from repro.sssp.mssp import DEFAULT_MSSP_BLOCK
 from repro.sssp.oracle import HopsetDistanceOracle, tree_path
 
 _FAMILIES = {
@@ -123,3 +124,41 @@ def test_interleaved_submit_matches_offline(built):
         assert server.batcher.batches >= 1
     finally:
         server.close()
+
+
+def _serve_in_blocks(server, lines, block=32):
+    """Closed-loop serving: ``serve_batch`` over consecutive blocks of lines."""
+    return [reply for lo in range(0, len(lines), block)
+            for reply in server.serve_batch(lines[lo:lo + block])]
+
+
+def test_matrix_blocks_group_explorations_and_warm_pass_explores_nothing(built):
+    """Grouping changes how sources are explored, never how many or a reply.
+
+    Width 1 runs one matrix pass per explored source; the default width
+    explores each micro-batch's distinct sources together.  Both explore
+    each distinct source once, and a warm second pass explores nothing
+    and is answered from the pair cache.
+    """
+    g, H = built["er"]
+    lines = _stream(g.n)
+    expected = _offline_replies(g, H, lines)
+    cold_info = {}
+    for block in (1, DEFAULT_MSSP_BLOCK):
+        server = OracleServer(g, H, cache_size=g.n, mssp_block=block)
+        try:
+            assert _serve_in_blocks(server, lines) == expected
+            cold_info[block] = server.oracle.cache_info()
+            pair_hits = server.pairs.hits
+            assert _serve_in_blocks(server, lines) == expected
+            warm = server.oracle.cache_info()
+            assert warm["tier2_explorations"] == cold_info[block]["tier2_explorations"]
+            assert server.pairs.hits > pair_hits
+            assert server.degraded is None
+        finally:
+            server.close()
+    looped, grouped = cold_info[1], cold_info[DEFAULT_MSSP_BLOCK]
+    sources = {int(line.split()[1]) for line in lines}
+    assert looped["tier2_explorations"] == grouped["tier2_explorations"] == len(sources)
+    assert looped["matrix_passes"] == looped["tier2_explorations"]
+    assert grouped["matrix_passes"] < grouped["tier2_explorations"]

@@ -265,32 +265,6 @@ def test_profile_sssp_runs(tmp_path, graph_file, hopset_file, capsys, monkeypatc
     assert (tmp_path / "profile_sssp.folded").exists()
 
 
-def _write_bench(d, work):
-    d.mkdir(exist_ok=True)
-    (d / "BENCH_demo.json").write_text(
-        '{"experiments": {"er": {"bit_exact": true, "work": %d}}}' % work
-    )
-
-
-def test_perf_append_then_check_gate(tmp_path, capsys):
-    bench = tmp_path / "benchmarks"
-    _write_bench(bench, 1000)
-    assert main(["perf", "check", "--bench-dir", str(bench)]) == 0  # no baseline
-    assert main(["perf", "append", "--bench-dir", str(bench)]) == 0
-    assert main(["perf", "check", "--bench-dir", str(bench)]) == 0
-    _write_bench(bench, 100_000)  # far beyond the 1.25x band
-    assert main(["perf", "check", "--bench-dir", str(bench)]) == 1
-    assert main(["perf", "check", "--bench-dir", str(bench), "--warn-only"]) == 0
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out and "demo:er" in out
-
-
-def test_perf_append_empty_dir_errors(tmp_path):
-    empty = tmp_path / "nothing"
-    empty.mkdir()
-    assert main(["perf", "append", "--bench-dir", str(empty)]) == 2
-
-
 def test_trace_sharded_emits_worker_lanes_and_health(tmp_path, graph_file,
                                                     hopset_file, capsys):
     import json
