@@ -184,22 +184,26 @@ def cmd_build(args, pram: PRAM | None = None) -> int:
     if store is not None and args.warm:
         hopset = store.load(g, params, variant=variant, cost=pram.cost)
     warm = hopset is not None
+    replayed = ""
     if hopset is None:
         if args.reduce and args.paths:
             hopset, _ = build_reduced_path_reporting_hopset(g, params, pram)
         elif args.reduce:
             hopset, _ = build_reduced_hopset(g, params, pram)
-        elif args.paths:
-            hopset, _ = build_path_reporting_hopset(g, params, pram)
         else:
-            hopset, _ = build_hopset(g, params, pram)
+            build = build_path_reporting_hopset if args.paths else build_hopset
+            hopset, report = build(g, params, pram)
+            replayed = (
+                f", {len(report.replayed_scales)} of {len(report.scales)} "
+                "scales replayed"
+            )
         if store is not None:
             store.save(g, params, hopset, variant=variant)
     save_hopset(args.out, hopset)
     source = "warm store hit" if warm else "built"
     print(
         f"{source} hopset: {hopset.num_records} records / {hopset.size()} pairs, "
-        f"work={pram.cost.work:,}, depth={pram.cost.depth:,} -> {args.out}"
+        f"work={pram.cost.work:,}, depth={pram.cost.depth:,}{replayed} -> {args.out}"
     )
     return 0
 

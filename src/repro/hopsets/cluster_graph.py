@@ -36,7 +36,14 @@ from repro.hopsets.errors import HopsetError
 from repro.pram.machine import PRAM
 from repro.pram.primitives import ceil_log2
 
-__all__ = ["EntryTable", "ClusterTables", "BFSResult", "neighbor_tables", "bfs_from_clusters"]
+__all__ = [
+    "EntryTable",
+    "ClusterTables",
+    "BFSResult",
+    "ExplorePlan",
+    "neighbor_tables",
+    "bfs_from_clusters",
+]
 
 _EPS_PAD = 1e-9  # float-safe threshold comparisons
 
@@ -120,6 +127,25 @@ class BFSResult:
 
     def detected(self) -> np.ndarray:
         return self.pulse >= 0
+
+
+class ExplorePlan:
+    """What every exploration of one scale shares: its graph's degree array
+    and a tally of the candidates its distance thresholds cut.
+
+    ``deg`` is ``G_{k−1}``'s CSR degree array, derived once per scale, so
+    no relaxation round re-derives it from the row pointers.  ``cut``
+    counts, uncharged, the relaxation candidates dropped for lying beyond
+    the exploration's distance threshold; a scale that cut none is one
+    half of the saturated-scale test (docs/algorithms.md).  The plan
+    lives as long as its scale, and with it the graph's degree array.
+    """
+
+    __slots__ = ("deg", "cut")
+
+    def __init__(self, graph: Graph) -> None:
+        self.deg = np.diff(graph.indptr)
+        self.cut = 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +255,7 @@ def _propagate(
     rounds: int,
     threshold: float,
     x: int,
+    plan: ExplorePlan | None = None,
 ) -> EntryTable:
     """Propagation part: ``rounds`` rounds of threshold-pruned relaxation.
 
@@ -244,11 +271,11 @@ def _propagate(
     Charged as it runs: the fused CSR gather + add over the fresh rows
     (its prefix-sum depth and write-set declared), the prune over the
     table plus the candidates, and the fresh-row pick as a ``select``.
+    ``plan`` (the scale's :class:`ExplorePlan`) supplies the degree array
+    and receives the count of candidates the threshold cut.
     """
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    # per-scale cluster-graph gather plan: the cached degree array spares
-    # every round below one row-pointer gather + subtract
-    deg_all = pram.workspace.csr_degrees(graph)
+    plan = plan if plan is not None else ExplorePlan(graph)
     table = _dedup_and_prune(table, x, pram)
     fresh = np.arange(table.size, dtype=np.int64)  # round 1 expands every row
     for _ in range(rounds):
@@ -256,10 +283,11 @@ def _propagate(
             break
         rep, head, cand_dist = pram.gather_add(
             indptr, indices, weights, table.vert[fresh], table.dist[fresh],
-            label="relax_gather", add_label="relax", deg_all=deg_all,
+            label="relax_gather", add_label="relax", deg_all=plan.deg,
         )
         keep = cand_dist <= threshold + _EPS_PAD
         rep_k = fresh[rep[keep]]
+        plan.cut += rep.size - rep_k.size
         if rep_k.size == 0:
             break
         head_k = head[keep]
@@ -335,6 +363,7 @@ def neighbor_tables(
     x: int,
     record_paths: bool = False,
     members_by_cluster: list[np.ndarray] | None = None,
+    plan: ExplorePlan | None = None,
 ) -> ClusterTables:
     """One pulse (d=1) of Algorithm 2 from *all* clusters, x sources kept.
 
@@ -343,6 +372,7 @@ def neighbor_tables(
     degᵢ neighbors).  With ``x = |P_ℓ|`` it is the phase-ℓ interconnection
     sweep.  Every record carries the (2β+1)-hop cluster distance, the
     realizing member vertex, and the seed vertex inside the source cluster.
+    ``plan`` is the scale's :class:`ExplorePlan` (one is made when omitted).
     """
     if x < 1:
         raise HopsetError(f"x must be >= 1, got {x}")
@@ -351,7 +381,7 @@ def neighbor_tables(
     table = _seed(members, all_clusters, all_clusters, record_paths)
     pram.charge(work=table.size, depth=1, label="distribute")
     with pram.subphase("explore"):
-        table = _propagate(pram, graph, table, hops, threshold, x)
+        table = _propagate(pram, graph, table, hops, threshold, x, plan)
     with pram.subphase("aggregate"):
         return _aggregate(pram, partition, table, x)
 
@@ -367,6 +397,7 @@ def bfs_from_clusters(
     memory: ClusterMemory | None = None,
     record_paths: bool = False,
     members_by_cluster: list[np.ndarray] | None = None,
+    plan: ExplorePlan | None = None,
 ) -> BFSResult:
     """The x=1 BFS variant (Appendix A.3.2) from ``source_mask`` clusters.
 
@@ -380,6 +411,7 @@ def bfs_from_clusters(
     the composed center-to-center path (tight edge weights, §4.3); without
     it the CD terms are treated as 0 and ``acc_weight`` only sums segment
     weights (callers in faithful mode use the formula weight anyway).
+    ``plan`` is the scale's :class:`ExplorePlan` (one is made when omitted).
     """
     ncl = partition.num_clusters
     if source_mask.shape != (ncl,):
@@ -400,13 +432,14 @@ def bfs_from_clusters(
     acc[sources] = 0.0
     frontier = sources
     cd = memory.cd if memory is not None else None
+    plan = plan if plan is not None else ExplorePlan(graph)
 
     for p in range(1, max_pulses + 1):
         if frontier.size == 0:
             break
         table = _seed(members, frontier, frontier, record_paths)
         pram.charge(work=table.size, depth=1, label="distribute")
-        table = _propagate(pram, graph, table, hops, threshold, x=1)
+        table = _propagate(pram, graph, table, hops, threshold, 1, plan)
         agg = _aggregate(pram, partition, table, x=1)
         # x = 1 leaves one row per cluster, and every detecting source is a
         # frontier cluster detected in an earlier pulse, so no row of this

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import Graph
-from repro.hopsets.cluster_graph import bfs_from_clusters
+from repro.hopsets.cluster_graph import ExplorePlan, bfs_from_clusters
 from repro.hopsets.clusters import Partition
 from repro.hopsets.errors import HopsetError
 from repro.pram.machine import PRAM
@@ -35,6 +35,7 @@ def ruling_set(
     threshold: float,
     hops: int,
     members_by_cluster: list[np.ndarray] | None = None,
+    plan: ExplorePlan | None = None,
 ) -> np.ndarray:
     """Compute a (3, 2·⌈log n⌉)-ruling set for ``candidates`` w.r.t. G̃ᵢ.
 
@@ -47,6 +48,9 @@ def ruling_set(
     threshold, hops:
         G̃ᵢ's edge rule: clusters at (``hops``-bounded) distance ≤
         ``threshold`` in the underlying graph are adjacent.
+    plan:
+        The scale's :class:`~repro.hopsets.cluster_graph.ExplorePlan`,
+        shared by every knockout sweep (one is made when omitted).
 
     Returns
     -------
@@ -63,6 +67,7 @@ def ruling_set(
     members = (
         members_by_cluster if members_by_cluster is not None else partition.members_by_cluster()
     )
+    plan = plan if plan is not None else ExplorePlan(graph)
     for h in range(bits):
         # one span per ID-bit level of the divide-and-conquer recursion
         with pram.subphase(f"bit{h}"):
@@ -81,6 +86,7 @@ def ruling_set(
                 hops=hops,
                 max_pulses=2,
                 members_by_cluster=members,
+                plan=plan,
             )
             knocked = b1 & bfs.detected()
             alive &= ~knocked

@@ -34,7 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import Graph
-from repro.hopsets.cluster_graph import BFSResult, bfs_from_clusters, neighbor_tables
+from repro.hopsets.cluster_graph import (
+    BFSResult,
+    ExplorePlan,
+    bfs_from_clusters,
+    neighbor_tables,
+)
 from repro.hopsets.clusters import ClusterMemory, Partition
 from repro.hopsets.errors import CertificationError
 from repro.hopsets.hopset import INTERCONNECT, SUPERCLUSTER, HopsetEdge
@@ -107,14 +112,19 @@ def build_single_scale(
     schedule: PhaseSchedule,
     tight_weights: bool = True,
     record_paths: bool = False,
+    plan: ExplorePlan | None = None,
 ) -> tuple[list[HopsetEdge], list[PhaseStats]]:
     """Construct the scale-k hopset H_k over ``g_prev = G ∪ H_{k−1}``.
 
     Returns the new hopset edges and per-phase statistics.  ``schedule``
     carries every derived parameter of Section 2.1 for this scale (see
-    :class:`repro.hopsets.params.PhaseSchedule`).
+    :class:`repro.hopsets.params.PhaseSchedule`).  Every exploration of
+    the scale shares ``plan`` (an :class:`ExplorePlan` of ``g_prev``, made
+    here when omitted); afterwards its ``cut`` says whether a distance
+    threshold dropped any candidate.
     """
     n = g_prev.n
+    plan = plan if plan is not None else ExplorePlan(g_prev)
     k = schedule.k
     hops = 2 * schedule.beta + 1
     log_n = math.log2(max(n, 2))
@@ -136,7 +146,7 @@ def build_single_scale(
         with pram.phase(f"scale{k}/phase{i}/detect"):
             tables = neighbor_tables(
                 pram, g_prev, partition, threshold, hops, x,
-                record_paths=record_paths, members_by_cluster=members,
+                record_paths=record_paths, members_by_cluster=members, plan=plan,
             )
         counts = tables.counts()
         popular = (
@@ -153,14 +163,14 @@ def build_single_scale(
             with pram.phase(f"scale{k}/phase{i}/ruling"):
                 q_mask = ruling_set(
                     pram, g_prev, partition, popular, threshold, hops,
-                    members_by_cluster=members,
+                    members_by_cluster=members, plan=plan,
                 )
             with pram.phase(f"scale{k}/phase{i}/supercluster"):
                 bfs = bfs_from_clusters(
                     pram, g_prev, partition, q_mask, threshold, hops,
                     max_pulses=2 * ceil_log2(max(n, 2)),
                     memory=memory, record_paths=record_paths,
-                    members_by_cluster=members,
+                    members_by_cluster=members, plan=plan,
                 )
             detected = bfs.detected()
             if np.any(popular & ~detected):

@@ -57,9 +57,10 @@ def serial_gather_csr(
 
     Returns ``(slots, arcs)`` for the flattened out-arc list of the
     (validated, non-empty) ``frontier``; cost charging stays with the
-    calling primitive.  ``deg_all`` is the optional cached per-vertex
-    degree array (``Workspace.csr_degrees``) — supplying it replaces the
-    second row-pointer gather + subtract with one degree gather.
+    calling primitive.  ``deg_all`` is the optional precomputed per-vertex
+    degree array (a hopset scale's ``ExplorePlan.deg``) — supplying it
+    replaces the second row-pointer gather + subtract with one degree
+    gather.
     """
     starts = np.asarray(indptr[frontier], dtype=np.int64)
     if deg_all is not None:

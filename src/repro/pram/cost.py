@@ -43,6 +43,18 @@ truthiness check, so an un-instrumented run pays no allocation and no
 indirect calls — the *zero-overhead-when-disabled* contract that the
 hot-loop benchmarks (E10) guard.
 
+A block's event stream — phase enters and exits, charges, traffic — can be
+**recorded** (:meth:`CostModel.recording`) and later **replayed**
+(:meth:`CostModel.replay`) under a renamed leading phase, which re-emits
+every event through :meth:`~CostModel.phase`, :meth:`~CostModel.charge`
+and :meth:`~CostModel.traffic`: totals, both phase views, recorded steps
+and every subscriber see what re-running the block would produce.  Only
+execution backends' reports (``backend.*`` traffic) are not replayed:
+they describe rounds that really ran.  The hopset build uses this for
+scales that can only repeat their predecessor (docs/algorithms.md,
+"Saturated scales").  With no recording open, a charge pays one extra
+``None`` test.
+
 Conformance subscribers (``repro.conformance``) additionally receive
 **write-footprint** events: each primitive declares, per synchronous round,
 the set of shared-memory cells it writes together with the values and the
@@ -68,6 +80,7 @@ __all__ = [
     "CostModel",
     "CostSnapshot",
     "CostHook",
+    "BACKEND_TRAFFIC_PREFIX",
     "RACE_TRAFFIC_PREFIX",
     "WRITE_RULES",
 ]
@@ -77,6 +90,12 @@ __all__ = [
 #: them without new plumbing: a finding against primitive ``L`` surfaces as
 #: one ``traffic`` call labeled ``f"{RACE_TRAFFIC_PREFIX}{L}"``.
 RACE_TRAFFIC_PREFIX = "crew_race:"
+
+#: Traffic label prefix of execution backends' reports (rounds sent to
+#: workers, worker wall time, fallbacks): facts about what really ran, not
+#: about the model, so a recording leaves them out and a replay, which
+#: runs nothing, re-emits none.
+BACKEND_TRAFFIC_PREFIX = "backend."
 
 #: The CREW legality rules a write-footprint may claim (docs/conformance.md):
 #:
@@ -217,6 +236,7 @@ class CostModel:
     _open_counts: dict[str, int] = field(default_factory=dict, repr=False)
     _subscribers: list[CostHook] = field(default_factory=list, repr=False)
     _footprint_hooks: list[CostHook] = field(default_factory=list, repr=False)
+    _tape: list | None = field(default=None, repr=False)
 
     def charge(self, work: int, depth: int = 1, label: str = "") -> None:
         """Charge ``work`` operations spread over ``depth`` rounds.
@@ -225,9 +245,9 @@ class CostModel:
         already-charged round; ``work`` may be 0 for synchronization-only
         rounds.  Negative charges are rejected.
 
-        This is the simulator's hottest call: with no step recording and no
-        subscribers it is two integer adds.  Phase attribution happens on
-        phase *exit* (see :meth:`phase`), never here.
+        This is the simulator's hottest call: with no step recording, no
+        subscribers and no open recording it is two integer adds.  Phase
+        attribution happens on phase *exit* (see :meth:`phase`), never here.
         """
         if work < 0 or depth < 0:
             raise InvalidStepError(
@@ -235,6 +255,8 @@ class CostModel:
             )
         self.work += int(work)
         self.depth += int(depth)
+        if self._tape is not None:
+            self._tape.append((_CHARGE, work, depth, label))
         if self.record_steps:
             stack = self._phase_stack
             self.steps.append(
@@ -264,6 +286,8 @@ class CostModel:
         """
         if not self._subscribers:
             return
+        if self._tape is not None and not label.startswith(BACKEND_TRAFFIC_PREFIX):
+            self._tape.append((_TRAFFIC, label, calls, elements, reads, writes))
         for hook in self._subscribers:
             hook.on_traffic(label, calls, elements, reads, writes)
 
@@ -359,12 +383,16 @@ class CostModel:
         self._open_counts[name] = self._open_counts.get(name, 0) + 1
         self._phase_stack.append(name)
         self._frames.append(frame)
+        if self._tape is not None:
+            self._tape.append((_ENTER, name))
         if self._subscribers:
             for hook in self._subscribers:
                 hook.on_phase_enter(name)
         try:
             yield
         finally:
+            if self._tape is not None:
+                self._tape.append((_EXIT, name))
             self._phase_stack.pop()
             self._frames.pop()
             left = self._open_counts[name] - 1
@@ -391,6 +419,65 @@ class CostModel:
             if self._subscribers:
                 for hook in self._subscribers:
                     hook.on_phase_exit(name)
+
+    @contextmanager
+    def recording(self) -> Iterator[list]:
+        """Record the block's event stream; yields the tape it fills.
+
+        The tape holds every phase enter and exit, every charge, and (when
+        subscribers are attached) every traffic report except a backend's
+        execution reports (:data:`BACKEND_TRAFFIC_PREFIX`), in order — what
+        :meth:`replay` needs to re-emit the block.  Recordings nest: an
+        enclosing recording receives the inner tape's events when the
+        inner block ends.
+        """
+        outer = self._tape
+        tape: list = []
+        self._tape = tape
+        try:
+            yield tape
+        finally:
+            self._tape = outer
+            if outer is not None:
+                outer.extend(tape)
+
+    def replay(self, tape: list, rename: tuple[str, str]) -> None:
+        """Re-emit a :meth:`recording` tape as if its block ran again.
+
+        Every event goes through :meth:`phase`, :meth:`charge` and
+        :meth:`traffic`, so totals, both phase views, recorded steps and
+        subscribers see exactly what re-running the block produces, bar
+        the backend's execution reports: a replay runs no round.
+        ``rename=(old, new)`` replaces a phase name's leading path
+        component ``old`` by ``new`` — exactly that component, so
+        ``scale1`` renames ``scale1/phase0`` but not ``scale10``.  Write
+        footprints are not recorded, so a replay refuses to run while a
+        footprint hook (a race detector) is attached.
+        """
+        if self._footprint_hooks:
+            raise InvalidStepError("a replay cannot re-emit write footprints")
+        old, new = rename
+        blocks: list = []
+        try:
+            for event in tape:
+                kind = event[0]
+                if kind is _CHARGE:
+                    self.charge(event[1], event[2], event[3])
+                elif kind is _ENTER:
+                    head, sep, rest = event[1].partition("/")
+                    block = self.phase((new if head == old else head) + sep + rest)
+                    block.__enter__()
+                    blocks.append(block)
+                elif kind is _EXIT:
+                    blocks.pop().__exit__(None, None, None)
+                else:
+                    _, label, calls, elements, reads, writes = event
+                    self.traffic(
+                        label, calls=calls, elements=elements, reads=reads, writes=writes
+                    )
+        finally:
+            while blocks:
+                blocks.pop().__exit__(None, None, None)
 
     def subphase(self, name: str):
         """A phase named *under* the innermost open phase, path-style.
@@ -428,3 +515,6 @@ class CostModel:
 
 
 _ZERO = CostSnapshot(0, 0)
+
+# recording-tape event kinds (see CostModel.recording)
+_CHARGE, _TRAFFIC, _ENTER, _EXIT = "charge", "traffic", "enter", "exit"

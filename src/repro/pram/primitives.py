@@ -347,9 +347,9 @@ def pgather_add(
     before charging).  Returns ``(slots, heads, cand)``; when a
     :class:`~repro.pram.workspace.Workspace` is supplied, ``heads`` and
     ``cand`` are pooled scratch views valid until its next round.
-    ``deg_all`` is the optional per-graph cached degree array
-    (``Workspace.csr_degrees``) the gather core may consult — a pure
-    wall-clock shortcut, bit-identical output and identical charges.
+    ``deg_all`` is the optional precomputed degree array of the graph
+    (a hopset scale's ``ExplorePlan.deg``) the gather core may consult —
+    a pure wall-clock shortcut, bit-identical output and identical charges.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
     n = int(indptr.size) - 1

@@ -51,13 +51,12 @@ class Workspace:
     fancy indexing does this naturally).  Distinct names never alias.
     """
 
-    __slots__ = ("poison", "_buffers", "_plans", "_degrees")
+    __slots__ = ("poison", "_buffers", "_plans")
 
     def __init__(self, poison: bool | None = None) -> None:
         self.poison = poison_default() if poison is None else bool(poison)
         self._buffers: dict[str, np.ndarray] = {}
         self._plans: dict[int, tuple[object, object]] = {}
-        self._degrees: dict[int, tuple[object, np.ndarray]] = {}
 
     def take(self, name: str, size: int, dtype) -> np.ndarray:
         """A length-``size`` scratch view named ``name`` (contents undefined)."""
@@ -102,43 +101,23 @@ class Workspace:
         self._plans[key] = (graph, plan)
         return plan
 
-    def csr_degrees(self, graph) -> np.ndarray:
-        """The cached out-degree array of ``graph`` (``np.diff(indptr)``).
-
-        The per-scale gather plan of the hopset build: every build-phase
-        relaxation round gathers the frontier's CSR ranges, and with the
-        degree array cached the per-round derivation drops one row-pointer
-        gather + subtract.  Keyed by graph identity like :meth:`relax_plan`
-        (the cache keeps the graph alive).
-        """
-        key = id(graph)
-        hit = self._degrees.get(key)
-        if hit is not None and hit[0] is graph:
-            return hit[1]
-        deg = np.diff(graph.indptr)
-        self._degrees[key] = (graph, deg)
-        return deg
-
     def drop_plan(self, graph):
-        """Evict ``graph``'s cached plan and degree array; returns the plan.
+        """Evict ``graph``'s cached plan; returns the plan.
 
         The mutation seam of the dynamic subsystem: a cached
         :class:`~repro.pram.primitives.RelaxPlan` aliases the graph's CSR
         arrays, so an *in-place* weight update keeps it fresh — but a
         structural change (a :class:`~repro.dynamic.graph.DynamicGraph`
         recompaction swaps the arrays under the same object identity)
-        silently stales both caches.  Callers drop here, then hand the
+        silently stales it.  Callers drop here, then hand the
         returned plan to the execution backend's ``evict_plan`` so
         sharded workers release their shared-memory *copies* too.
         Returns ``None`` when nothing was cached.
         """
-        key = id(graph)
-        hit = self._plans.pop(key, None)
-        self._degrees.pop(key, None)
+        hit = self._plans.pop(id(graph), None)
         return hit[1] if hit is not None else None
 
     def clear(self) -> None:
         """Drop every pooled buffer and cached plan."""
         self._buffers.clear()
         self._plans.clear()
-        self._degrees.clear()

@@ -26,6 +26,14 @@ A second matrix diffs every reference build against the same build run
 on the test-side full-propagation schedule
 (``tests/hopsets/full_propagation.py``), which expands every table row in
 every round where ``_propagate`` expands only the rows that changed.
+
+The strict shadow on every leg above makes every scale run, so a third
+matrix covers the builds that replay saturated scales
+(docs/algorithms.md, "Saturated scales"): each one against the same
+build with the rule disabled, on road, ER and smoke graphs, plain and
+path-recording, serial and ``sharded:2``.  Negative pins fix graphs
+where the rule must wait: a scale that repeats its predecessor while
+still cutting candidates.
 """
 
 import numpy as np
@@ -33,9 +41,13 @@ import pytest
 
 from repro.conformance.diff import SMOKE_FAMILIES
 from repro.conformance.shadow import ShadowCREW
+from repro.graphs.generators import erdos_renyi, road_network
+from repro.hopsets import multi_scale
+from repro.hopsets.cluster_graph import ExplorePlan
 from repro.hopsets.multi_scale import build_hopset
 from repro.hopsets.params import HopsetParams
 from repro.pram.backends.sharded import ShardedBackend
+from repro.pram.cost import BACKEND_TRAFFIC_PREFIX, CostHook, CostModel
 from repro.pram.machine import PRAM
 from repro.pram.primitives import build_relax_plan, build_relax_plan_from_csr
 from repro.pram.workspace import Workspace
@@ -200,13 +212,192 @@ def test_csr_plan_matches_argsort_plan(family):
         assert np.array_equal(getattr(p0, name), getattr(p1, name)), name
 
 
-def test_workspace_degree_cache_is_identity_keyed():
-    g1 = SMOKE_FAMILIES["er"](_N, _SEED)
-    g2 = SMOKE_FAMILIES["er"](_N, _SEED + 1)
-    ws = Workspace()
-    d1 = ws.csr_degrees(g1)
-    assert ws.csr_degrees(g1) is d1  # cached
-    assert np.array_equal(d1, np.diff(g1.indptr))
-    assert not np.array_equal(ws.csr_degrees(g2), d1) or g1.num_edges == g2.num_edges
-    ws.clear()
-    assert ws.csr_degrees(g1) is not d1
+# ---------------------------------------------------------------------------
+# saturated scales: replayed builds against full builds
+# ---------------------------------------------------------------------------
+
+_REPLAY_GRAPHS = {
+    "road16": lambda: road_network(16, 16, seed=_SEED),
+    "road24": lambda: road_network(24, 24, seed=_SEED),
+    "road32": lambda: road_network(32, 32, seed=_SEED),
+    "er200": lambda: erdos_renyi(200, 0.03, seed=_SEED),
+    **{f: (lambda f=f: SMOKE_FAMILIES[f](64, _SEED)) for f in _FAMILIES},
+}
+
+
+class _EventLog(CostHook):
+    """Every event a subscriber sees, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_charge(self, work, depth, label):
+        self.events.append(("charge", work, depth, label))
+
+    def on_traffic(self, label, calls, elements, reads, writes):
+        self.events.append(("traffic", label, calls, elements, reads, writes))
+
+    def on_phase_enter(self, name):
+        self.events.append(("enter", name))
+
+    def on_phase_exit(self, name):
+        self.events.append(("exit", name))
+
+
+def _observed_build(graph, params, record_paths, backend=None):
+    """A build with steps recorded and an event log attached: its replayed
+    scales, and everything a caller or subscriber can observe of it."""
+    pram = PRAM(cost=CostModel(record_steps=True), backend=backend)
+    log = pram.cost.subscribe(_EventLog())
+    hopset, report = build_hopset(graph, params, pram=pram, record_paths=record_paths)
+    cost = pram.cost
+    return report.replayed_scales, {
+        "records": list(map(_edge_key, hopset.edges)),
+        "meta": hopset.meta,
+        "report": (
+            report.scales, report.per_scale_stats, report.per_scale_edges,
+            report.work, report.depth,
+        ),
+        "work/depth": (cost.work, cost.depth),
+        "phase_totals": dict(cost.phase_totals),
+        "phase_self_totals": dict(cost.phase_self_totals),
+        "steps": list(cost.steps),
+        "events": log.events,
+    }
+
+
+def _never_saturated(plan, edges, prev):
+    return False
+
+
+def _model_events(events):
+    """``events`` without an execution backend's reports of the rounds it
+    ran, which a serial build has none of."""
+    return [
+        e for e in events
+        if not (e[0] == "traffic" and e[1].startswith(BACKEND_TRAFFIC_PREFIX))
+    ]
+
+
+_FULL_BUILDS: dict = {}
+
+
+def _full_build(graph, g, record_paths, monkeypatch):
+    """The serial build of every scale (the rule disabled), observed."""
+    key = (graph, record_paths)
+    if key not in _FULL_BUILDS:
+        with monkeypatch.context() as m:
+            m.setattr(multi_scale, "_saturated", _never_saturated)
+            replayed, observed = _observed_build(g, _POINTS["k2"], record_paths)
+        assert replayed == []
+        _FULL_BUILDS[key] = observed
+    return _FULL_BUILDS[key]
+
+
+@pytest.fixture(scope="module")
+def sharded2():
+    be = ShardedBackend(workers=2)
+    yield be
+    be.close()
+
+
+@pytest.mark.parametrize("backend_spec", ["serial", "sharded:2"])
+@pytest.mark.parametrize("graph", sorted(_REPLAY_GRAPHS))
+def test_replayed_scales_match_the_full_build(graph, backend_spec, sharded2, monkeypatch):
+    """A build that replays saturated scales is indistinguishable from the
+    serial build of every scale: records, meta, report with every
+    PhaseStats, work/depth, both phase views, recorded steps and the event
+    stream a subscriber sees — plain and path-recording, on each backend.
+    The sharded backend's own reports of the rounds it ran are the only
+    events left out."""
+    g = _REPLAY_GRAPHS[graph]()
+    backend = sharded2 if backend_spec == "sharded:2" else None
+    for record_paths in (False, True):
+        mode = "path-recording" if record_paths else "plain"
+        want = _full_build(graph, g, record_paths, monkeypatch)
+        replayed, got = _observed_build(g, _POINTS["k2"], record_paths, backend)
+        if backend is not None:
+            assert got["events"] != _model_events(got["events"]), mode  # it engaged
+            got["events"] = _model_events(got["events"])
+            assert not backend.failed, backend.failure_reason
+        for key in want:
+            assert got[key] == want[key], (key, mode)
+        if graph.startswith(("road", "er")):
+            assert replayed, mode  # the leg must exercise a replay
+
+
+def _spied_build(graph, params, monkeypatch):
+    """Build with the scales' explore plans spied on: the hopset, the
+    report and the candidates each built scale cut."""
+    plans = []
+
+    class Spy(ExplorePlan):
+        def __init__(self, g):
+            super().__init__(g)
+            plans.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(multi_scale, "ExplorePlan", Spy)
+        hopset, report = build_hopset(graph, params, pram=PRAM())
+    built = [k for k in report.scales if k not in report.replayed_scales]
+    return hopset, report, dict(zip(built, (p.cut for p in plans)))
+
+
+def _records_of(hopset, k):
+    """Scale ``k``'s records without their scale field."""
+    return [(e.u, e.v, e.weight, e.phase, e.kind, e.path) for e in hopset.of_scale(k)]
+
+
+_RULE = multi_scale._saturated
+
+
+class _NoCut:
+    cut = 0
+
+
+def _records_only(plan, edges, prev):
+    """The rule without its cut test, which these pins show is unsound."""
+    return _RULE(_NoCut(), edges, prev)
+
+
+@pytest.mark.parametrize("point", sorted(_POINTS))
+def test_rule_waits_while_a_repeating_scale_still_cuts(point, monkeypatch):
+    """wide(32): scale 10 repeats scale 9's 30 records while cutting 143
+    candidates, and scale 11 then emits 31.  The rule fires only after
+    scale 12, the first scale that cuts nothing; a records-only rule
+    would copy scale 10 and drop one record from each of scales 11-15."""
+    g = SMOKE_FAMILIES["wide"](32, 7)
+    params = _POINTS[point]
+    h, report, cuts = _spied_build(g, params, monkeypatch)
+    assert report.per_scale_edges[10] == 30
+    assert _records_of(h, 10) == _records_of(h, 9)
+    assert cuts[10] == 143 and cuts[11] > 0 and cuts[12] == 0
+    assert report.per_scale_edges[11] == 31
+    assert report.replayed_scales == [13, 14, 15]
+
+    monkeypatch.setattr(multi_scale, "_saturated", _never_saturated)
+    h_full, r_full = build_hopset(g, params, pram=PRAM())
+    assert list(map(_edge_key, h.edges)) == list(map(_edge_key, h_full.edges))
+    assert (report.work, report.depth) == (r_full.work, r_full.depth)
+
+    monkeypatch.setattr(multi_scale, "_saturated", _records_only)
+    _, r_unsound = build_hopset(g, params, pram=PRAM())
+    assert r_unsound.replayed_scales == [11, 12, 13, 14, 15]
+    for k in r_unsound.replayed_scales:
+        assert r_unsound.per_scale_edges[k] == r_full.per_scale_edges[k] - 1
+
+
+def test_rule_waits_for_a_scale_that_cuts_one_candidate(monkeypatch):
+    """wide(16) at kappa=3: scale 11 repeats scale 10 while cutting exactly
+    one candidate, so the rule waits until scale 12 cuts none."""
+    g = SMOKE_FAMILIES["wide"](16, 7)
+    params = _POINTS["k3"]
+    h, report, cuts = _spied_build(g, params, monkeypatch)
+    assert _records_of(h, 11) == _records_of(h, 10)
+    assert cuts[11] == 1 and cuts[12] == 0
+    assert report.replayed_scales == [13, 14]
+
+    monkeypatch.setattr(multi_scale, "_saturated", _never_saturated)
+    h_full, r_full = build_hopset(g, params, pram=PRAM())
+    assert list(map(_edge_key, h.edges)) == list(map(_edge_key, h_full.edges))
+    assert (report.work, report.depth) == (r_full.work, r_full.depth)

@@ -296,3 +296,35 @@ def test_threshold_validation():
         DynamicHopset(dg, params=PARAMS, rebuild_below=1.5)
     with pytest.raises(InvalidGraphError):
         DynamicHopset(dg, params=PARAMS, refresh_below=0.2, rebuild_below=0.4)
+
+
+def test_refreshes_leave_no_scale_graph_alive():
+    """Each scale refresh explores a fresh union graph.  The long-lived
+    machine must not keep it: over rounds of perturb, ``maintain()`` and
+    restore, the workspace's cached-graph count and the number of live
+    graphs stay flat."""
+    import gc
+
+    from repro.graphs.csr import Graph
+    from repro.graphs.generators import road_network
+
+    dg = DynamicGraph(road_network(12, 12, seed=5))
+    dh = DynamicHopset(dg, params=PARAMS, refresh_below=0.999, rebuild_below=0.0)
+    ws = dh.pram.workspace
+    edges = [(int(u), int(v)) for u, v in zip(dg.edge_u, dg.edge_v)]
+
+    def live_graphs():
+        gc.collect()
+        return sum(isinstance(o, Graph) for o in gc.get_objects())
+
+    counts = []
+    for r in range(12):
+        u, v = edges[(37 * r) % len(edges)]
+        old = dg.edge_weight(u, v)
+        dg.set_weight(u, v, 6.0 * old)
+        dh.on_weight_increase(u, v, old, 6.0 * old)
+        dh.maintain()
+        dg.set_weight(u, v, old)  # improvements need no notification
+        counts.append((len(ws._plans), live_graphs()))
+    assert dh.scale_refreshes >= 6
+    assert counts[-1] == counts[0], counts

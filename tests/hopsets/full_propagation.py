@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import Graph
-from repro.hopsets.cluster_graph import _EPS_PAD, EntryTable
+from repro.hopsets.cluster_graph import _EPS_PAD, EntryTable, ExplorePlan
 from repro.pram.machine import PRAM
 
 
@@ -44,26 +44,28 @@ def full_propagate(
     rounds: int,
     threshold: float,
     x: int,
+    plan: ExplorePlan | None = None,
 ) -> EntryTable:
     """``rounds`` rounds of threshold-pruned relaxation over every row.
 
     Same signature as ``cluster_graph._propagate``, so a build can run
-    with this schedule patched in.
+    with this schedule patched in; it tallies cut candidates the same way.
     """
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    deg_all = pram.workspace.csr_degrees(graph)
+    plan = plan if plan is not None else ExplorePlan(graph)
     table = full_prune(table, x, pram)
     for _ in range(rounds):
         if table.size == 0:
             break
         rep, head, cand_dist = pram.gather_add(
             indptr, indices, weights, table.vert, table.dist,
-            label="relax_gather", add_label="relax", deg_all=deg_all,
+            label="relax_gather", add_label="relax", deg_all=plan.deg,
         )
         if head.size == 0:
             break
         keep = cand_dist <= threshold + _EPS_PAD
         rep_k = rep[keep]
+        plan.cut += rep.size - rep_k.size
         if rep_k.size == 0:
             break
         head_k = head[keep]

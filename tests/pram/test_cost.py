@@ -239,3 +239,74 @@ def test_disabled_path_records_nothing():
     assert c.steps == []
     assert not c.has_subscribers
     assert c.work == 5 and c.depth == 1
+
+
+def _scale_block(c, k):
+    """A miniature scale: nested phases, labeled and unlabeled charges, a
+    model traffic report and a backend execution report."""
+    with c.phase(f"scale{k}"):
+        c.charge(work=3, depth=1, label="distribute")
+        with c.phase(f"scale{k}/phase0/detect"):
+            with c.subphase("explore"):
+                c.charge(work=10, depth=2)
+                c.traffic("relax", elements=10, reads=20, writes=10)
+                c.traffic("backend.entry_round", elements=10)
+        with c.phase("scale10/phase0/interconnect"):  # not scale{k}'s child
+            c.charge(work=5, depth=1, label="interconnect")
+
+
+def test_replay_repeats_a_recorded_block_under_its_new_name():
+    """Replaying scale1's tape as scale2 leaves every view as building
+    scale2 would, bar the backend's report; ``scale10`` is a different
+    leading component, so it is not renamed."""
+    ran = CostModel(record_steps=True)
+    ran_log = ran.subscribe(_RecordingHook())
+    _scale_block(ran, 1)
+    _scale_block(ran, 2)
+
+    replayed = CostModel(record_steps=True)
+    log = replayed.subscribe(_RecordingHook())
+    with replayed.recording() as tape:
+        _scale_block(replayed, 1)
+    replayed.replay(tape, rename=("scale1", "scale2"))
+
+    assert (replayed.work, replayed.depth) == (ran.work, ran.depth)
+    assert replayed.phase_totals == ran.phase_totals
+    assert replayed.phase_self_totals == ran.phase_self_totals
+    assert replayed.steps == ran.steps
+    half = len(ran_log.events) // 2  # the events of scale1, then of scale2
+    backend_report = ("traffic", "backend.entry_round", 1, 10, 0, 0)
+    assert backend_report in ran_log.events[half:]
+    assert log.events[:half] == ran_log.events[:half]
+    assert log.events[half:] == [e for e in ran_log.events[half:] if e != backend_report]
+    assert "scale20/phase0/interconnect" not in replayed.phase_totals
+
+
+def test_recordings_nest_and_close():
+    c = CostModel()
+    with c.recording() as outer:
+        c.charge(work=1, depth=1, label="a")
+        with c.recording() as inner:
+            with c.phase("p"):
+                c.charge(work=2, depth=1, label="b")
+        c.charge(work=4, depth=1, label="c")
+    c.charge(work=8, depth=1, label="d")  # no recording open
+    assert len(inner) == 3
+    assert len(outer) == 5
+    replay = CostModel()
+    replay.replay(outer, rename=("p", "q"))
+    assert (replay.work, replay.depth) == (7, 3)
+    assert replay.phase_totals == {"q": CostSnapshot(2, 1)}
+
+
+def test_replay_refuses_under_a_footprint_hook():
+    class Detector(CostHook):
+        wants_footprints = True
+
+    c = CostModel()
+    with c.recording() as tape:
+        c.charge(work=1, depth=1)
+    c.subscribe(Detector())
+    with pytest.raises(InvalidStepError):
+        c.replay(tape, rename=("a", "b"))
+    assert c.work == 1

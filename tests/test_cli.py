@@ -27,11 +27,17 @@ def test_gen_unknown_family(tmp_path):
 
 
 def test_build_and_info(tmp_path, graph_file, capsys):
+    from repro.hopsets.multi_scale import build_hopset
+    from repro.hopsets.params import HopsetParams
+
     h = tmp_path / "h.npz"
     assert main(["build", str(graph_file), str(h), "--beta", "6"]) == 0
     assert main(["info", str(h)]) == 0
     out = capsys.readouterr().out
     assert "hopset" in out and "beta=6" in out
+    _, report = build_hopset(load_graph(graph_file), HopsetParams(beta=6))
+    assert report.replayed_scales
+    assert f"{len(report.replayed_scales)} of {len(report.scales)} scales replayed" in out
     assert main(["info", str(graph_file)]) == 0
 
 
@@ -119,6 +125,7 @@ def test_trace_build_two_families(tmp_path, family, capsys):
     assert len(jsonl.read_text().splitlines()) >= 2
     out = capsys.readouterr().out
     assert "theorem watchdogs" in out and "span coverage" in out
+    assert "scales replayed" in out
 
 
 def test_trace_sssp_reports_query_watchdogs(tmp_path, graph_file, capsys):
